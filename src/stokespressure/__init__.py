@@ -29,7 +29,6 @@ from .spectral_solver import (
 )
 from .hodograph_fields import (
     FieldGrid,
-    FieldSample,
     StagnationProximity,
     SurfaceProfile,
     field_sample,

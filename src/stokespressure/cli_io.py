@@ -48,7 +48,7 @@ from .spectral_solver import (
     midpoint_residual,
     newton_solve,
 )
-from .hodograph_fields import FieldSample, physical_grid
+from .hodograph_fields import physical_grid
 from .verifier import VerificationReport, crest_angle, verify_all
 from .wave_model import ConformalSolution, InvalidConfig, WaveConfig, steepness
 
@@ -69,6 +69,8 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "STOKESPRESSURE_OUT"
 FIELDS_CSV_HEADER = "q,p,x,y,u,v,P,f,Px,Py,excluded"
+_FIELDS_CSV_ROW = ",".join(["%.17g"] * 10 + ["%d"])
+_FIELDS_CSV_BLOCK = 1024
 _SOLUTION_FORMAT = "stokespressure.solution/1"
 _REPORT_FORMAT = "stokespressure.report/1"
 
@@ -190,14 +192,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_fields_csv(samples: list[FieldSample], path: str | Path) -> None:
-    """Export samples with the fixed header; floats carry 17 significant digits."""
+def write_fields_csv(samples: np.recarray, path: str | Path) -> None:
+    """Export `physical_grid` records with the fixed header; floats carry 17
+    significant digits."""
     lines = [FIELDS_CSV_HEADER]
-    for s in samples:
-        lines.append(",".join([
-            _fmt(s.q), _fmt(s.p), _fmt(s.x), _fmt(s.y), _fmt(s.u), _fmt(s.v),
-            _fmt(s.P), _fmt(s.f), _fmt(s.P_x), _fmt(s.P_y),
-            "1" if s.excluded else "0"]))
+    # A block of rows at a time: converting a whole 256x128 grid to Python
+    # tuples at once fragments the small-object heap, and peak RSS then
+    # creeps up over repeated exports.
+    for start in range(0, len(samples), _FIELDS_CSV_BLOCK):
+        block = samples[start:start + _FIELDS_CSV_BLOCK].tolist()
+        lines += [_FIELDS_CSV_ROW % row for row in block]
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
@@ -371,8 +375,9 @@ def _cmd_fields(args) -> int:
         write_fields_csv(samples, path)
     else:
         path = outdir / "fields.json"
+        names = samples.dtype.names
         _atomic_write_text(path, _dump_json(
-            [dataclasses.asdict(s) for s in samples]))
+            [dict(zip(names, row)) for row in samples.tolist()]))
     write_manifest(outdir, "fields", cfg, [args.solution], [path], started,
                    extra={"samples": len(samples)})
     print(f"fields: {len(samples)} samples -> {path}")

@@ -11,7 +11,9 @@ dictionary: with D = h_q^2 + h_p^2,
 so every physical derivative reduces to strip derivatives of the series.
 The pressure gradient is computed along the momentum-balance route
 (P_x = (c-u) u_x - v u_y, P_y = -g + (c-u) v_x - v v_y) and cross-checked
-against the algebraically equivalent shortcut P_x = u_q / D.
+against the algebraically equivalent shortcut P_x = u_q / D. These formulas
+are written once, in `_fields`: pointwise functions apply it to the
+single-point jet, grids and exported records to the matrix-product jet.
 
 Near the limiting wave the crest approaches a stagnation point, D blows up
 and pointwise values within a small disc around the crest stop being
@@ -38,7 +40,6 @@ from .wave_model import (
 
 __all__ = [
     "StagnationProximity",
-    "FieldSample",
     "SurfaceProfile",
     "FieldGrid",
     "velocity",
@@ -62,23 +63,6 @@ class StagnationProximity(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """All reconstructed quantities at one strip point."""
-
-    q: float
-    p: float
-    x: float
-    y: float
-    u: float
-    v: float
-    P: float
-    f: float
-    P_x: float
-    P_y: float
-    excluded: bool
-
-
-@dataclass(frozen=True)
 class SurfaceProfile:
     """One half-period of the free surface, crest (x = 0) to trough (x = pi)."""
 
@@ -88,40 +72,38 @@ class SurfaceProfile:
     slope: np.ndarray  # d eta / dx at the samples
 
 
+# Layout of a field record (`physical_grid` rows, `field_sample`).
+_RECORD_FIELDS = ("q", "p", "x", "y", "u", "v", "P", "f", "P_x", "P_y",
+                  "excluded")
+_RECORD = np.dtype([(name, float) for name in _RECORD_FIELDS[:-1]]
+                   + [("excluded", bool)])
+
+
 def _wrap_to_crest(q: np.ndarray | float, period: float):
     """Signed distance in q to the nearest crest (q = 0 mod period)."""
     return q - period * np.round(np.asarray(q, dtype=float) / period)
 
 
 def _exclusion_mask(sol, q, p, cfg):
-    if cfg.excision_radius <= 0.0:
-        return np.zeros(np.broadcast(q, p).shape, dtype=bool)
-    if crest_indicator(sol) >= cfg.crest_indicator_threshold:
-        return np.zeros(np.broadcast(q, p).shape, dtype=bool)
-    dq = _wrap_to_crest(q, sol.period_q)
-    return np.hypot(dq, p) < cfg.excision_radius
+    # The disc test comes first: the crest indicator costs a jet evaluation
+    # and matters only for points inside the disc.
+    inside = np.hypot(_wrap_to_crest(q, sol.period_q), p) < cfg.excision_radius
+    if inside.any() and crest_indicator(sol) >= cfg.crest_indicator_threshold:
+        return np.zeros_like(inside)
+    return inside
 
 
-def _guard(sol: ConformalSolution, pt: StripPoint, cfg: WaveConfig) -> None:
-    if bool(_exclusion_mask(sol, pt.q, pt.p, cfg)):
-        raise StagnationProximity(
-            f"point ({pt.q:.6g}, {pt.p:.6g}) lies within the excision disc "
-            f"of a near-stagnation crest")
+def _fields(jet, sol: ConformalSolution) -> dict:
+    """Every field derived from a jet; scalar (`ConformalJet`) or array
+    (`JetGrid`) jets alike.
 
-
-def _first_order(h_q, h_p):
-    d = h_q * h_q + h_p * h_p
-    return d, h_p / d, -h_q / d  # D, c - u, v
-
-
-def _gradients(h_q, h_p, h_qq, h_qp, h_pp, c, g):
-    """Velocity and pressure gradients from the jet; scalar or array inputs.
-
-    Returns a dict with u_q, u_p, v_q, v_p (strip derivatives of the velocity
-    components), u_x .. v_y (physical derivatives), both pressure-gradient
-    routes, and the first-order quantities.
+    Returns D, u, v, P, f, the strip derivatives u_q .. v_p of the velocity,
+    its physical derivatives u_x .. v_y, both P_x routes (P_x, P_x_alt) and
+    P_y.
     """
-    d, cmu, v = _first_order(h_q, h_p)
+    h_q, h_p, h_qq, h_qp, h_pp = jet.h_q, jet.h_p, jet.h_qq, jet.h_qp, jet.h_pp
+    d = h_q * h_q + h_p * h_p
+    cmu, v = h_p / d, -h_q / d  # c - u, v
     d_q = 2.0 * (h_q * h_qq + h_p * h_qp)
     d_p = 2.0 * (h_q * h_qp + h_p * h_pp)
     dd = d * d
@@ -133,8 +115,11 @@ def _gradients(h_q, h_p, h_qq, h_qp, h_pp, c, g):
     u_y = -v * u_q + cmu * u_p
     v_x = cmu * v_q + v * v_p
     v_y = -v * v_q + cmu * v_p
+    g = sol.gravity
     return {
-        "D": d, "cmu": cmu, "v": v,
+        "D": d, "u": sol.c - cmu, "v": v,
+        "P": sol.E + sol.surface_pressure - g * jet.h - 0.5 / d,
+        "f": cmu * v - g * jet.x,
         "u_q": u_q, "u_p": u_p, "v_q": v_q, "v_p": v_p,
         "u_x": u_x, "u_y": u_y, "v_x": v_x, "v_y": v_y,
         "P_x": cmu * u_x - v * u_y,
@@ -143,36 +128,34 @@ def _gradients(h_q, h_p, h_qq, h_qp, h_pp, c, g):
     }
 
 
+def _point_fields(sol: ConformalSolution, pt: StripPoint,
+                  cfg: WaveConfig | None) -> dict:
+    """`_fields` at one point, refused inside an active excision disc."""
+    if bool(_exclusion_mask(sol, pt.q, pt.p, cfg or _DEFAULT)):
+        raise StagnationProximity(
+            f"point ({pt.q:.6g}, {pt.p:.6g}) lies within the excision disc "
+            f"of a near-stagnation crest")
+    return _fields(eval_conformal_jet(sol, pt), sol)
+
+
 def velocity(sol: ConformalSolution, pt: StripPoint,
              cfg: WaveConfig | None = None) -> tuple[float, float]:
     """Velocity (u, v) in the moving frame at a strip point."""
-    cfg = cfg or _DEFAULT
-    _guard(sol, pt, cfg)
-    jet = eval_conformal_jet(sol, pt)
-    _, cmu, v = _first_order(jet.h_q, jet.h_p)
-    return (float(sol.c - cmu), float(v))
+    fl = _point_fields(sol, pt, cfg)
+    return (float(fl["u"]), float(fl["v"]))
 
 
 def velocity_gradients(sol: ConformalSolution, pt: StripPoint,
                        cfg: WaveConfig | None = None):
     """Physical velocity gradients (u_x, u_y, v_x, v_y) at a strip point."""
-    cfg = cfg or _DEFAULT
-    _guard(sol, pt, cfg)
-    jet = eval_conformal_jet(sol, pt)
-    grad = _gradients(jet.h_q, jet.h_p, jet.h_qq, jet.h_qp, jet.h_pp,
-                      sol.c, sol.gravity)
-    return tuple(float(grad[key]) for key in ("u_x", "u_y", "v_x", "v_y"))
+    fl = _point_fields(sol, pt, cfg)
+    return tuple(float(fl[key]) for key in ("u_x", "u_y", "v_x", "v_y"))
 
 
 def pressure(sol: ConformalSolution, pt: StripPoint,
              cfg: WaveConfig | None = None) -> float:
     """Fluid pressure at a strip point; equals surface_pressure on p = 0."""
-    cfg = cfg or _DEFAULT
-    _guard(sol, pt, cfg)
-    jet = eval_conformal_jet(sol, pt)
-    d = jet.h_q**2 + jet.h_p**2
-    return float(sol.E + sol.surface_pressure - sol.gravity * jet.h
-                 - 0.5 / d)
+    return float(_point_fields(sol, pt, cfg)["P"])
 
 
 def pressure_gradient(sol: ConformalSolution, pt: StripPoint,
@@ -183,17 +166,13 @@ def pressure_gradient(sol: ConformalSolution, pt: StripPoint,
     a consistency guard; the two are algebraically identical and must agree
     to rounding.
     """
-    cfg = cfg or _DEFAULT
-    _guard(sol, pt, cfg)
-    jet = eval_conformal_jet(sol, pt)
-    grad = _gradients(jet.h_q, jet.h_p, jet.h_qq, jet.h_qp, jet.h_pp,
-                      sol.c, sol.gravity)
-    p_x, p_alt = float(grad["P_x"]), float(grad["P_x_alt"])
+    fl = _point_fields(sol, pt, cfg)
+    p_x, p_alt = float(fl["P_x"]), float(fl["P_x_alt"])
     if abs(p_x - p_alt) > 1e-9 * (abs(p_x) + sol.gravity):
         raise ArithmeticError(
             f"pressure-gradient routes disagree at ({pt.q:.6g}, {pt.p:.6g}): "
             f"{p_x:.17g} vs {p_alt:.17g}")
-    return (p_x, float(grad["P_y"]))
+    return (p_x, float(fl["P_y"]))
 
 
 def f_field(sol: ConformalSolution, pt: StripPoint,
@@ -203,31 +182,17 @@ def f_field(sol: ConformalSolution, pt: StripPoint,
     Harmonic in the physical variables; vanishes on the crest line and
     equals -g*pi on the trough line.
     """
-    cfg = cfg or _DEFAULT
-    _guard(sol, pt, cfg)
-    jet = eval_conformal_jet(sol, pt)
-    _, cmu, v = _first_order(jet.h_q, jet.h_p)
-    return float(cmu * v - sol.gravity * jet.x)
+    return float(_point_fields(sol, pt, cfg)["f"])
 
 
 def field_sample(sol: ConformalSolution, pt: StripPoint,
-                 cfg: WaveConfig | None = None) -> FieldSample:
-    """Every reconstructed quantity at one point (never raises on exclusion;
-    the sample is flagged instead)."""
-    cfg = cfg or _DEFAULT
-    excluded = bool(_exclusion_mask(sol, pt.q, pt.p, cfg))
-    jet = eval_conformal_jet(sol, pt)
-    grad = _gradients(jet.h_q, jet.h_p, jet.h_qq, jet.h_qp, jet.h_pp,
-                      sol.c, sol.gravity)
-    d = grad["D"]
-    return FieldSample(
-        q=pt.q, p=pt.p, x=float(jet.x), y=float(jet.h),
-        u=float(sol.c - grad["cmu"]), v=float(grad["v"]),
-        P=float(sol.E + sol.surface_pressure - sol.gravity * jet.h - 0.5 / d),
-        f=float(grad["cmu"] * grad["v"] - sol.gravity * jet.x),
-        P_x=float(grad["P_x"]), P_y=float(grad["P_y"]),
-        excluded=excluded,
-    )
+                 cfg: WaveConfig | None = None) -> np.record:
+    """Every exported quantity at one point, as one `physical_grid` record
+    (fields q, p, x, y, u, v, P, f, P_x, P_y, excluded).
+
+    Never raises on exclusion; the record is flagged instead.
+    """
+    return _records(grid_fields(sol, [pt.q], [pt.p], cfg))[0]
 
 
 def surface(sol: ConformalSolution, m: int = 256,
@@ -274,8 +239,9 @@ def surface_curvature(sol: ConformalSolution, m: int = 256) -> tuple[np.ndarray,
 class FieldGrid:
     """Vectorized field arrays on a strip grid, shape (len(p), len(q)).
 
-    Everything `FieldSample` carries plus the raw jet and the velocity
-    gradients, for verification sweeps that need them wholesale.
+    Every column of a `physical_grid` record plus the raw jet slopes, D, the
+    second P_x route and the velocity gradients, for verification sweeps
+    that need them wholesale.
     """
 
     q: np.ndarray
@@ -290,7 +256,9 @@ class FieldGrid:
     P_x_alt: np.ndarray
     P_y: np.ndarray
     u_q: np.ndarray
+    u_p: np.ndarray
     v_q: np.ndarray
+    v_p: np.ndarray
     u_x: np.ndarray
     u_y: np.ndarray
     v_x: np.ndarray
@@ -306,28 +274,31 @@ def grid_fields(sol: ConformalSolution, q: np.ndarray, p: np.ndarray,
     """Evaluate all fields on the tensor grid q x p (vectorized fast path)."""
     cfg = cfg or _DEFAULT
     jets = eval_jet_grid(sol, np.asarray(q, float), np.asarray(p, float))
-    grad = _gradients(jets.h_q, jets.h_p, jets.h_qq, jets.h_qp, jets.h_pp,
-                      sol.c, sol.gravity)
-    qq, pp = np.meshgrid(jets.q, jets.p)
-    excl = _exclusion_mask(sol, qq, pp, cfg)
-    P = sol.E + sol.surface_pressure - sol.gravity * jets.h - 0.5 / grad["D"]
-    return FieldGrid(
-        q=jets.q, p=jets.p, x=jets.x, y=jets.h,
-        u=sol.c - grad["cmu"], v=grad["v"], P=P,
-        f=grad["cmu"] * grad["v"] - sol.gravity * jets.x,
-        P_x=grad["P_x"], P_x_alt=grad["P_x_alt"], P_y=grad["P_y"],
-        u_q=grad["u_q"], v_q=grad["v_q"],
-        u_x=grad["u_x"], u_y=grad["u_y"], v_x=grad["v_x"], v_y=grad["v_y"],
-        h_q=jets.h_q, h_p=jets.h_p, D=grad["D"], excluded=excl,
-    )
+    excluded = _exclusion_mask(sol, jets.q[None, :], jets.p[:, None], cfg)
+    return FieldGrid(q=jets.q, p=jets.p, x=jets.x, y=jets.h,
+                     h_q=jets.h_q, h_p=jets.h_p, excluded=excluded,
+                     **_fields(jets, sol))
 
 
-def physical_grid(sol: ConformalSolution, cfg: WaveConfig | None = None) -> list[FieldSample]:
+def _records(gf: FieldGrid) -> np.recarray:
+    """The grid as field records, row-major: q fastest, p rows in order."""
+    rows = np.recarray(gf.x.shape, dtype=_RECORD)
+    rows.q = gf.q
+    rows.p = gf.p[:, None]
+    for name in _RECORD_FIELDS[2:]:
+        rows[name] = getattr(gf, name)
+    return rows.reshape(-1)
+
+
+def physical_grid(sol: ConformalSolution,
+                  cfg: WaveConfig | None = None) -> np.recarray:
     """Sample every field on the configured strip grid.
 
-    Rows run from the floor p_min up to the surface p = 0, each row sweeping
-    q over [0, pi*c] (half period, crest column first); row-major with q
-    fastest. Points inside an active excision disc are flagged, not omitted.
+    Returns one record array of grid_nq * grid_np rows with fields q, p, x,
+    y, u, v, P, f, P_x, P_y (float) and excluded (bool). Rows run from the
+    floor p_min up to the surface p = 0, each sweeping q over [0, pi*c]
+    (half period, crest column first); row-major with q fastest. Points
+    inside an active excision disc are flagged, not omitted.
     """
     cfg = cfg or _DEFAULT
     if cfg.grid_nq < 2 or cfg.grid_np < 2:
@@ -337,19 +308,7 @@ def physical_grid(sol: ConformalSolution, cfg: WaveConfig | None = None) -> list
         raise InvalidConfig("grid floor p_min must be negative")
     q = np.linspace(0.0, np.pi * sol.c, cfg.grid_nq)
     p = np.linspace(p_min, 0.0, cfg.grid_np)
-    gf = grid_fields(sol, q, p, cfg)
-    samples = []
-    for i in range(p.size):
-        for j in range(q.size):
-            samples.append(FieldSample(
-                q=float(q[j]), p=float(p[i]),
-                x=float(gf.x[i, j]), y=float(gf.y[i, j]),
-                u=float(gf.u[i, j]), v=float(gf.v[i, j]),
-                P=float(gf.P[i, j]), f=float(gf.f[i, j]),
-                P_x=float(gf.P_x[i, j]), P_y=float(gf.P_y[i, j]),
-                excluded=bool(gf.excluded[i, j]),
-            ))
-    return samples
+    return _records(grid_fields(sol, q, p, cfg))
 
 
 def invert_position(sol: ConformalSolution, x_target: float, y_target: float,

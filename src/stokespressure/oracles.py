@@ -219,13 +219,6 @@ def limit_bracket(
         key = max(below)
         return key, anchors[key]
 
-    def pad(sol: ConformalSolution, n: int) -> ConformalSolution:
-        a = np.zeros(n)
-        a[: sol.coeffs.size] = sol.coeffs
-        return ConformalSolution(c=sol.c, E=sol.E, coeffs=a,
-                                 gravity=sol.gravity,
-                                 surface_pressure=sol.surface_pressure)
-
     def walk_to(s: float) -> ConformalSolution | None:
         """Advance the anchor chain to steepness s at walk resolution."""
         found = nearest_anchor(s)
@@ -238,7 +231,8 @@ def limit_bracket(
             cur, sol = found
         while cur < s - 1e-12:
             nxt = min(cur + ministep, s)
-            guess = sol if sol.coeffs.size >= walk_modes else pad(sol, walk_modes)
+            guess = (sol if sol.coeffs.size >= walk_modes
+                     else ss._pad_modes(sol, walk_modes))
             try:
                 sol = ss.newton_solve(guess, nxt, probe_cfg, tail_limit=np.inf)
             except ss.SolverError:
@@ -261,7 +255,8 @@ def limit_bracket(
         if sol is None:
             return False
         try:
-            fine = ss.newton_solve(pad(sol, modes), s, probe_cfg, tail_limit=np.inf)
+            fine = ss.newton_solve(ss._pad_modes(sol, modes), s, probe_cfg,
+                                   tail_limit=np.inf)
         except ss.SolverError:
             return False
         return _resolved_at_budget(fine, int(est_mode_cap), tail_limit)

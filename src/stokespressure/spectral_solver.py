@@ -34,11 +34,9 @@ __all__ = [
     "NonConvergence",
     "SingularJacobian",
     "TailNotResolved",
-    "ResidualSystem",
     "collocation_angles",
     "surface_residual",
     "residual_vector",
-    "residual_system",
     "jacobian",
     "midpoint_residual",
     "initial_guess",
@@ -98,7 +96,7 @@ def collocation_angles(n: int) -> np.ndarray:
     return _collocation_cache(n)[0].copy()
 
 
-def _surface_state(a, c, ck, sk, k):
+def _surface_state(a, ck, sk, k):
     """Surface sums at the cached angles: h, A = c|h_q| factor, B, and
     S = A^2 + (1+B)^2 = c^2 (h_q^2 + h_p^2)."""
     ka = k * a
@@ -109,14 +107,18 @@ def _surface_state(a, c, ck, sk, k):
     return h, A, B, S
 
 
+def _bernoulli_defect(sol: ConformalSolution, ck, sk, k) -> np.ndarray:
+    """2 (E - g h) S / c^2 - 1 at the angles of the trig tables ck, sk."""
+    h, _, _, S = _surface_state(sol.coeffs, ck, sk, k)
+    return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
+
+
 def surface_residual(sol: ConformalSolution, theta: np.ndarray) -> np.ndarray:
     """Bernoulli surface defect 2 (E - g h) (h_q^2 + h_p^2) - 1 at angles theta."""
     theta = np.asarray(theta, dtype=float)
     k = np.arange(1.0, sol.coeffs.size + 1.0)
-    ck = np.cos(np.outer(theta, k))
-    sk = np.sin(np.outer(theta, k))
-    h, _, _, S = _surface_state(sol.coeffs, sol.c, ck, sk, k)
-    return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
+    return _bernoulli_defect(sol, np.cos(np.outer(theta, k)),
+                             np.sin(np.outer(theta, k)), k)
 
 
 def residual_vector(sol: ConformalSolution, s_target: float) -> np.ndarray:
@@ -124,29 +126,10 @@ def residual_vector(sol: ConformalSolution, s_target: float) -> np.ndarray:
     then the steepness constraint."""
     n = sol.mode_count
     _, k, ck, sk = _collocation_cache(n)
-    h, _, _, S = _surface_state(sol.coeffs, sol.c, ck, sk, k)
     r = np.empty(n + 2)
-    r[: n + 1] = 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
+    r[: n + 1] = _bernoulli_defect(sol, ck, sk, k)
     r[n + 1] = steepness(sol) - s_target
     return r
-
-
-@dataclass(frozen=True)
-class ResidualSystem:
-    """Assembled nonlinear system at one iterate, for inspection."""
-
-    angles: np.ndarray
-    unknowns: np.ndarray  # (a_1..a_N, c, E)
-    residuals: np.ndarray
-
-
-def residual_system(sol: ConformalSolution, s_target: float) -> ResidualSystem:
-    u = np.concatenate([sol.coeffs, [sol.c, sol.E]])
-    return ResidualSystem(
-        angles=collocation_angles(sol.mode_count),
-        unknowns=u,
-        residuals=residual_vector(sol, s_target),
-    )
 
 
 def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
@@ -154,7 +137,7 @@ def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     n = sol.mode_count
     _, k, ck, sk = _collocation_cache(n)
     a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
-    h, A, B, S = _surface_state(a, c, ck, sk, k)
+    h, A, B, S = _surface_state(a, ck, sk, k)
     J = np.zeros((n + 2, n + 2))
     excess = E - g * h
     # d/da_k: product rule through h and through S.
@@ -406,7 +389,7 @@ def continue_family(
     step = initial_step
     stop_reason = "reached_stop"
     last_failure = None
-    prev: tuple[float, np.ndarray] | None = None
+    prev: tuple[float, ConformalSolution] | None = None
 
     def vec(sol):
         return np.concatenate([sol.coeffs, [sol.c, sol.E]])
@@ -422,15 +405,11 @@ def continue_family(
         # with the same tail or grinds to newton_max_iter.
         if prev is None:
             return None
-        s_p, u_p = prev
+        s_p, sol_p = prev
         if not (s_p < s) or (target - s) > 4.0 * (s - s_p):
             return None
         u = vec(sol)
-        if u_p.size != u.size:
-            pad = np.zeros(u.size)
-            pad[: u_p.size - 2] = u_p[:-2]
-            pad[-2:] = u_p[-2:]
-            u_p = pad
+        u_p = vec(_pad_modes(sol_p, sol.mode_count))
         u_g = u + (target - s) / (s - s_p) * (u - u_p)
         if not np.all(np.isfinite(u_g)) or u_g[-2] <= 0.0:
             return None
@@ -466,7 +445,7 @@ def continue_family(
                                else "step_floor")
                 break
             continue
-        prev = (s, vec(sol))
+        prev = (s, sol)
         sol = new_sol
         s = target
         if s >= s_start - 1e-14:

@@ -24,6 +24,7 @@ import numpy as np
 from . import oracles
 from .hodograph_fields import (
     FieldGrid,
+    _exclusion_mask,
     f_field,
     grid_fields,
     pressure,
@@ -362,14 +363,8 @@ def _fd_points(sol, cfg, count, seed, qlo=0.12, qhi=0.88,
     rng = np.random.default_rng(seed)
     q = np.pi * sol.c * rng.uniform(qlo, qhi, count)
     p = sol.c * rng.uniform(plo, phi, count)
-    keep = ~np.array([bool(m) for m in
-                      np.atleast_1d(_excluded_points(sol, cfg, q, p))])
+    keep = ~_exclusion_mask(sol, q, p, cfg)
     return list(zip(q[keep], p[keep]))
-
-
-def _excluded_points(sol, cfg, q, p):
-    from .hodograph_fields import _exclusion_mask
-    return _exclusion_mask(sol, np.asarray(q, float), np.asarray(p, float), cfg)
 
 
 def _series_reference_check(sol: ConformalSolution, cfg: WaveConfig) -> CheckResult:

@@ -14,7 +14,7 @@ from stokespressure.cli_io import (
     save_solution,
     write_fields_csv,
 )
-from stokespressure.hodograph_fields import physical_grid
+from stokespressure.hodograph_fields import grid_fields, physical_grid
 from stokespressure.wave_model import WaveConfig, steepness
 
 
@@ -102,6 +102,35 @@ def test_fields_csv_header_and_shape(sol_005, tmp_path):
     assert lines[0] == "q,p,x,y,u,v,P,f,Px,Py,excluded"
     assert len(lines) == 1 + 15
     assert all(len(line.split(",")) == 11 for line in lines[1:])
+
+
+def test_fields_export_bytes_follow_grid_arrays(sol_005, tmp_path):
+    # Reference built from grid_fields arrays alone: row-major with q
+    # fastest, floats as format(v, ".17g"), excluded as 0/1 in the CSV and
+    # records keyed by the 11 column names in the JSON export.
+    q = np.linspace(0.0, np.pi * sol_005.c, 5)
+    p = np.linspace(-2.0, 0.0, 3)
+    gf = grid_fields(sol_005, q, p, WaveConfig(mode_count=64))
+    floats = ("x", "y", "u", "v", "P", "f", "P_x", "P_y")
+    records = [{"q": float(q[j]), "p": float(p[i]),
+                **{name: float(getattr(gf, name)[i, j]) for name in floats},
+                "excluded": bool(gf.excluded[i, j])}
+               for i in range(p.size) for j in range(q.size)]
+    lines = [FIELDS_CSV_HEADER] + [
+        ",".join([format(r[name], ".17g") for name in ("q", "p") + floats]
+                 + ["1" if r["excluded"] else "0"])
+        for r in records]
+
+    cfg = WaveConfig(mode_count=64, grid_nq=5, grid_np=3, grid_depth=-2.0)
+    path = tmp_path / "f.csv"
+    write_fields_csv(physical_grid(sol_005, cfg), path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    save_solution(sol_005, tmp_path / "solution.json")
+    assert run("fields", "--solution", tmp_path / "solution.json",
+               "--out", tmp_path, "--format", "json", "--grid", "5x3",
+               "--depth=-2.0") == 0
+    assert json.loads((tmp_path / "fields.json").read_text()) == records
 
 
 # --- subcommands -------------------------------------------------------------

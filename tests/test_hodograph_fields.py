@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stokespressure import oracles
+from stokespressure import hodograph_fields, oracles
 from stokespressure.hodograph_fields import (
     StagnationProximity,
     f_field,
@@ -150,6 +150,21 @@ def test_exclusion_radius_is_a_disc_around_the_crest(sol_013):
                         eager).excluded
     assert not field_sample(sol_013, StripPoint(0.2, -0.02), eager).excluded
     assert not field_sample(sol_013, StripPoint(0.0, -0.2), eager).excluded
+
+
+def test_crest_indicator_only_for_points_inside_the_disc(sol_013, monkeypatch):
+    eager = WaveConfig(mode_count=512, crest_indicator_threshold=0.5)
+
+    def refuse(sol):
+        raise AssertionError("crest indicator evaluated outside the disc")
+
+    monkeypatch.setattr(hodograph_fields, "crest_indicator", refuse)
+    outside = StripPoint(1.0, -0.5)
+    pressure(sol_013, outside, eager)
+    pressure_gradient(sol_013, outside, eager)
+    monkeypatch.undo()
+    with pytest.raises(StagnationProximity):
+        pressure(sol_013, StripPoint(0.0, -1e-3), eager)
 
 
 def test_exclusion_disabled_with_zero_radius(sol_013):
