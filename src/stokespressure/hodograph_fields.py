@@ -97,9 +97,9 @@ def _fields(jet, sol: ConformalSolution) -> dict:
     """Every field derived from a jet; scalar (`ConformalJet`) or array
     (`JetGrid`) jets alike.
 
-    Returns D, u, v, P, f, the strip derivatives u_q .. v_p of the velocity,
-    its physical derivatives u_x .. v_y, both P_x routes (P_x, P_x_alt) and
-    P_y.
+    Returns D, u, v, P, f, f_q, the strip derivatives u_q .. v_p of the
+    velocity, its physical derivatives u_x .. v_y, both P_x routes (P_x,
+    P_x_alt) and P_y.
     """
     h_q, h_p, h_qq, h_qp, h_pp = jet.h_q, jet.h_p, jet.h_qq, jet.h_qp, jet.h_pp
     d = h_q * h_q + h_p * h_p
@@ -120,6 +120,7 @@ def _fields(jet, sol: ConformalSolution) -> dict:
         "D": d, "u": sol.c - cmu, "v": v,
         "P": sol.E + sol.surface_pressure - g * jet.h - 0.5 / d,
         "f": cmu * v - g * jet.x,
+        "f_q": -u_q * v + cmu * v_q - g * h_p,  # x_q = h_p
         "u_q": u_q, "u_p": u_p, "v_q": v_q, "v_p": v_p,
         "u_x": u_x, "u_y": u_y, "v_x": v_x, "v_y": v_y,
         "P_x": cmu * u_x - v * u_y,
@@ -239,9 +240,9 @@ def surface_curvature(sol: ConformalSolution, m: int = 256) -> tuple[np.ndarray,
 class FieldGrid:
     """Vectorized field arrays on a strip grid, shape (len(p), len(q)).
 
-    Every column of a `physical_grid` record plus the raw jet slopes, D, the
-    second P_x route and the velocity gradients, for verification sweeps
-    that need them wholesale.
+    Every column of a `physical_grid` record plus the raw jet slopes, D,
+    f_q, the second P_x route and the velocity gradients, for verification
+    sweeps that need them wholesale.
     """
 
     q: np.ndarray
@@ -252,6 +253,7 @@ class FieldGrid:
     v: np.ndarray
     P: np.ndarray
     f: np.ndarray
+    f_q: np.ndarray
     P_x: np.ndarray
     P_x_alt: np.ndarray
     P_y: np.ndarray

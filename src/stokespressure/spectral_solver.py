@@ -5,10 +5,11 @@ The free surface p = 0 must satisfy the Bernoulli condition
 `wave_model` and collocating at the N+1 angles theta_j = j pi / N turns this
 into N+1 polynomial equations in the unknowns (a_1..a_N, c, E); the system is
 closed by prescribing the steepness. Newton's method with an analytic
-Jacobian solves it, and a predictor-free warm-started continuation walks the
-family from the linear regime toward the limiting wave, halving the step on
-failed solves and doubling the mode count when the coefficient tail stops
-being resolved.
+Jacobian solves it, and a continuation in steepness walks the family from
+the linear regime toward the limiting wave: each target is tried first from
+a secant-predicted guess, then from the previous member as a warm start; the
+step is halved on failed solves and the mode count doubled when the
+coefficient tail stops being resolved.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
 
 _RCOND_FLOOR = 1e-14
 _MAX_DAMPINGS = 8
+_JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
 
 
 class SolverError(RuntimeError):
@@ -107,10 +109,15 @@ def _surface_state(a, ck, sk, k):
     return h, A, B, S
 
 
-def _bernoulli_defect(sol: ConformalSolution, ck, sk, k) -> np.ndarray:
-    """2 (E - g h) S / c^2 - 1 at the angles of the trig tables ck, sk."""
-    h, _, _, S = _surface_state(sol.coeffs, ck, sk, k)
+def _defect(sol: ConformalSolution, h, S) -> np.ndarray:
+    """2 (E - g h) S / c^2 - 1 from the surface sums h and S."""
     return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
+
+
+def _bernoulli_defect(sol: ConformalSolution, ck, sk, k) -> np.ndarray:
+    """The Bernoulli defect at the angles of the trig tables ck, sk."""
+    h, _, _, S = _surface_state(sol.coeffs, ck, sk, k)
+    return _defect(sol, h, S)
 
 
 def surface_residual(sol: ConformalSolution, theta: np.ndarray) -> np.ndarray:
@@ -133,19 +140,40 @@ def residual_vector(sol: ConformalSolution, s_target: float) -> np.ndarray:
 
 
 def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
-    """Analytic Jacobian of `residual_vector` in (a_1..a_N, c, E)."""
+    """Analytic Jacobian of `residual_vector` in (a_1..a_N, c, E).
+
+    Fortran-ordered, so LAPACK factors it without a copy.
+    """
     n = sol.mode_count
     _, k, ck, sk = _collocation_cache(n)
     a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
     h, A, B, S = _surface_state(a, ck, sk, k)
-    J = np.zeros((n + 2, n + 2))
+    J = np.zeros((n + 2, n + 2), order="F")
     excess = E - g * h
-    # d/da_k: product rule through h and through S.
-    J[: n + 1, :n] = (
-        (-2.0 * g * S / c**2)[:, None] * ck
-        + (2.0 * excess / c**2)[:, None]
-        * (2.0 * A[:, None] * (sk * k) + 2.0 * (1.0 + B)[:, None] * (ck * k))
-    )
+    # d/da_k: product rule through h and through S,
+    #   w_h ck + w_S (2A (sk k) + 2(1+B) (ck k))  row by row,
+    # assembled a block of rows at a time in two small scratch buffers rather
+    # than in full-size temporaries. Every element sees the same operations
+    # in the same order as that broadcast formula, so J is bit-identical.
+    w_h = (-2.0 * g * S / c**2)[:, None]
+    w_S = (2.0 * excess / c**2)[:, None]
+    two_a = (2.0 * A)[:, None]
+    two_b = (2.0 * (1.0 + B))[:, None]
+    rows = min(_JAC_BLOCK_ROWS, n + 1)
+    scratch_s, scratch_c = np.empty((rows, n)), np.empty((rows, n))
+    for r0 in range(0, n + 1, rows):
+        blk = slice(r0, min(r0 + rows, n + 1))
+        t_s = scratch_s[: blk.stop - r0]
+        t_c = scratch_c[: blk.stop - r0]
+        np.multiply(sk[blk], k, out=t_s)
+        np.multiply(two_a[blk], t_s, out=t_s)
+        np.multiply(ck[blk], k, out=t_c)
+        np.multiply(two_b[blk], t_c, out=t_c)
+        np.add(t_s, t_c, out=t_s)
+        np.multiply(w_S[blk], t_s, out=t_s)
+        np.multiply(w_h[blk], ck[blk], out=t_c)
+        np.add(t_c, t_s, out=t_c)
+        J[blk, :n] = t_c
     J[: n + 1, n] = -4.0 * excess * S / c**3
     J[: n + 1, n + 1] = 2.0 * S / c**2
     # Steepness row: only odd modes move the crest-to-trough height.
@@ -157,11 +185,20 @@ def midpoint_residual(sol: ConformalSolution) -> float:
     """Largest Bernoulli defect halfway between collocation angles.
 
     Aliasing probe: the collocation residual is ~newton_tol by construction,
-    while between the angles it is governed by the unresolved tail.
+    while between the angles it is governed by the unresolved tail. The
+    surface sums come from one real FFT on the 2N-interval grid
+    theta_m = m pi / (2N), whose odd points are the midpoints.
     """
     n = sol.mode_count
-    mid = (np.arange(n) + 0.5) * np.pi / n
-    return float(np.abs(surface_residual(sol, mid)).max())
+    a = sol.coeffs
+    series = np.zeros((2, n + 1))  # slot 0 is the absent k = 0 mode
+    series[0, 1:] = a
+    series[1, 1:] = np.arange(1.0, n + 1.0) * a
+    # sum_k x_k e^{-ik theta_m}: h and B are the real parts, -A the imaginary.
+    sums = np.fft.rfft(series, n=4 * n)[:, 1::2]
+    h, B, A = sums[0].real, sums[1].real, -sums[1].imag
+    S = A * A + (1.0 + B) ** 2
+    return float(np.abs(_defect(sol, h, S)).max())
 
 
 def initial_guess(s0: float, cfg: WaveConfig) -> ConformalSolution:
@@ -241,9 +278,15 @@ def newton_solve(
                 f"no convergence in {cfg.newton_max_iter} iterations "
                 f"(residual {rmax:.3e})", iters, rmax)
         J = jacobian(sol, s_target)
-        anorm = float(np.abs(J).sum(axis=0).max())  # 1-norm for the estimator
+        # 1-norm for the condition estimator. It is non-finite exactly when
+        # an entry is, which spares LU its own finiteness scan; J is rebuilt
+        # every iteration, so LU may factor it in place.
+        (lange,) = get_lapack_funcs(("lange",), (J,))
+        anorm = float(lange("1", J))
+        if not np.isfinite(anorm):
+            raise SingularJacobian("Jacobian has non-finite entries")
         try:
-            lu_piv = lu_factor(J)
+            lu_piv = lu_factor(J, overwrite_a=True, check_finite=False)
         except Exception as exc:  # LinAlgError on exact singularity
             raise SingularJacobian(f"LU factorization failed: {exc}") from exc
         if _rcond(lu_piv[0], anorm) < _RCOND_FLOOR:

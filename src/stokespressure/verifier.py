@@ -270,9 +270,7 @@ def verify_f_results(sol: ConformalSolution, cfg: WaveConfig | None = None,
     ]
 
     # d/dx f(x, eta(x)) = f_q / h_p on p = 0.
-    cmu = sol.c - gf.u[-1]
-    f_q = -gf.u_q[-1] * gf.v[-1] + cmu * gf.v_q[-1] - g * gf.h_p[-1]
-    dfdx = f_q / gf.h_p[-1]
+    dfdx = gf.f_q[-1] / gf.h_p[-1]
     checks.append(_abs_bound("surface_f_decreasing", gf,
                              np.where(surface_row, np.maximum(dfdx, 0.0), 0.0),
                              surface_row, tol,

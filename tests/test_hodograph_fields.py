@@ -101,6 +101,18 @@ def test_pressure_gradient_matches_finite_differences(sol_005, cfg, rng):
         assert py == pytest.approx(fy, abs=2e-9)
 
 
+def test_f_q_matches_finite_differences(sol_005, cfg):
+    q = np.linspace(0.3, 2.8, 6) * sol_005.c
+    p = np.array([-1.5, -0.4, 0.0])
+    gf = grid_fields(sol_005, q, p, cfg)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            fd = oracles.fd_derivative(
+                lambda t: f_field(sol_005, StripPoint(float(t), pi), cfg), qj,
+                step=1e-3, richardson=True)
+            assert gf.f_q[i, j] == pytest.approx(fd, abs=1e-10)
+
+
 def test_velocity_gradients_are_a_conformal_pair(sol_005, cfg):
     # irrotational + incompressible: u_x = -v_y and u_y = v_x pointwise
     for theta, p in ((0.5, -0.3), (1.7, -1.2), (2.9, -0.7)):

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from stokespressure import oracles, spectral_solver
 from stokespressure.spectral_solver import (
     NonConvergence,
+    SingularJacobian,
     TailNotResolved,
+    _pad_modes,
     collocation_angles,
     continue_family,
     estimate_limit,
@@ -84,6 +86,23 @@ def test_midpoint_residual_flat_is_zero(cfg64):
     assert midpoint_residual(initial_guess(0.0, cfg64)) == 0.0
 
 
+def _dense_midpoint_residual(sol):
+    n = sol.mode_count
+    mid = (np.arange(n) + 0.5) * np.pi / n
+    return float(np.abs(surface_residual(sol, mid)).max())
+
+
+def test_midpoint_residual_matches_dense_sums(family_n256):
+    for m in family_n256.members:
+        assert abs(midpoint_residual(m.solution)
+                   - _dense_midpoint_residual(m.solution)) <= 1e-13
+
+
+def test_midpoint_residual_matches_dense_sums_padded_to_2048(sol_010):
+    wide = _pad_modes(sol_010, 2048)
+    assert abs(midpoint_residual(wide) - _dense_midpoint_residual(wide)) <= 1e-13
+
+
 # --- jacobian ----------------------------------------------------------------
 
 def test_jacobian_energy_column_flat_hand_value(cfg64):
@@ -104,6 +123,51 @@ def test_jacobian_steepness_row(cfg64):
     assert np.allclose(row[0:n:2], 1.0 / math.pi, atol=1e-15)
     assert np.allclose(row[1:n:2], 0.0, atol=1e-15)
     assert row[-1] == 0.0 and row[-2] == 0.0
+
+
+def _broadcast_jacobian(sol):
+    # The full-size broadcast formula the blocked assembly must reproduce bit
+    # for bit.
+    n = sol.mode_count
+    theta = collocation_angles(n)
+    k = np.arange(1.0, n + 1.0)
+    ck, sk = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
+    ka = k * a
+    h, A, B = ck @ a, sk @ ka, ck @ ka
+    S = A * A + (1.0 + B) ** 2
+    excess = E - g * h
+    J = np.zeros((n + 2, n + 2))
+    J[: n + 1, :n] = (
+        (-2.0 * g * S / c**2)[:, None] * ck
+        + (2.0 * excess / c**2)[:, None]
+        * (2.0 * A[:, None] * (sk * k) + 2.0 * (1.0 + B)[:, None] * (ck * k))
+    )
+    J[: n + 1, n] = -4.0 * excess * S / c**3
+    J[: n + 1, n + 1] = 2.0 * S / c**2
+    J[n + 1, 0:n:2] = 1.0 / np.pi
+    return J
+
+
+@pytest.mark.parametrize("n", [64, 100, 2048])
+def test_jacobian_is_bit_identical_to_broadcast_formula(sol_005, n):
+    # N + 1 is not a multiple of the assembly block at any of these N.
+    sol = _pad_modes(sol_005, n)
+    assert np.array_equal(jacobian(sol, 0.05), _broadcast_jacobian(sol))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_jacobian_raises_singular(cfg64, monkeypatch, bad):
+    exact = spectral_solver.jacobian
+
+    def poisoned(sol, s_target):
+        J = exact(sol, s_target)
+        J[3, 5] = bad
+        return J
+
+    monkeypatch.setattr(spectral_solver, "jacobian", poisoned)
+    with pytest.raises(SingularJacobian, match="non-finite"):
+        newton_solve(initial_guess(0.01, cfg64), 0.01, cfg64)
 
 
 def test_jacobian_matches_finite_differences(sol_005, rng):
