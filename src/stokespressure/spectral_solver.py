@@ -4,9 +4,13 @@ The free surface p = 0 must satisfy the Bernoulli condition
 2 (E - g h) (h_q^2 + h_p^2) = 1. Substituting the truncated series of
 `wave_model` and collocating at the N+1 angles theta_j = j pi / N turns this
 into N+1 polynomial equations in the unknowns (a_1..a_N, c, E); the system is
-closed by prescribing the steepness. Newton's method with an analytic
-Jacobian solves it, and a continuation in steepness walks the family from
-the linear regime toward the limiting wave: each target is tried first from
+closed by prescribing the steepness. The surface sums at the collocation
+angles come from one real FFT. Newton's method with an analytic Jacobian
+solves the system; a full step that cuts the residual tenfold freezes its LU
+factors, which later chord steps reuse while each still cuts the residual
+tenfold; chord and fresh steps alike count as Newton iterations. A
+continuation in steepness walks the family from the linear regime toward
+the limiting wave: each target is tried first from
 a secant-predicted guess, then from the previous member as a warm start; the
 step is halved on failed solves and the mode count doubled when the
 coefficient tail stops being resolved.
@@ -15,11 +19,12 @@ coefficient tail stops being resolved.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .wave_model import (
     TAIL_DECAY_RATIO,
@@ -51,6 +56,7 @@ __all__ = [
 
 _RCOND_FLOOR = 1e-14
 _MAX_DAMPINGS = 8
+_CHORD_CONTRACTION = 0.1  # a full step this good freezes its factorization
 _JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
 
 
@@ -98,13 +104,19 @@ def collocation_angles(n: int) -> np.ndarray:
     return _collocation_cache(n)[0].copy()
 
 
-def _surface_state(a, ck, sk, k):
-    """Surface sums at the cached angles: h, A = c|h_q| factor, B, and
-    S = A^2 + (1+B)^2 = c^2 (h_q^2 + h_p^2)."""
-    ka = k * a
-    h = ck @ a
-    A = sk @ ka
-    B = ck @ ka
+def _surface_sums(a: np.ndarray, m: int):
+    """Surface sums at theta_j = j pi / m, j = 0..m: h, A = c|h_q| factor, B,
+    and S = A^2 + (1+B)^2 = c^2 (h_q^2 + h_p^2).
+
+    One real FFT of length 2m: sum_k x_k e^{-ik theta_j} for x = a and k a,
+    whose real parts are h and B and whose imaginary part is -A.
+    """
+    n = a.size
+    series = np.zeros((2, n + 1))  # slot 0 is the absent k = 0 mode
+    series[0, 1:] = a
+    series[1, 1:] = np.arange(1.0, n + 1.0) * a
+    sums = np.fft.rfft(series, n=2 * m)
+    h, B, A = sums[0].real, sums[1].real, -sums[1].imag
     S = A * A + (1.0 + B) ** 2
     return h, A, B, S
 
@@ -114,27 +126,32 @@ def _defect(sol: ConformalSolution, h, S) -> np.ndarray:
     return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
 
 
-def _bernoulli_defect(sol: ConformalSolution, ck, sk, k) -> np.ndarray:
-    """The Bernoulli defect at the angles of the trig tables ck, sk."""
-    h, _, _, S = _surface_state(sol.coeffs, ck, sk, k)
+def _grid_defect(sol: ConformalSolution, m: int) -> np.ndarray:
+    """The Bernoulli defect at the m+1 angles theta_j = j pi / m."""
+    h, _, _, S = _surface_sums(sol.coeffs, m)
     return _defect(sol, h, S)
 
 
 def surface_residual(sol: ConformalSolution, theta: np.ndarray) -> np.ndarray:
-    """Bernoulli surface defect 2 (E - g h) (h_q^2 + h_p^2) - 1 at angles theta."""
+    """Bernoulli surface defect 2 (E - g h) (h_q^2 + h_p^2) - 1 at angles theta.
+
+    Dense sums at arbitrary angles: the independent evaluator the FFT grid
+    sums are checked against.
+    """
     theta = np.asarray(theta, dtype=float)
-    k = np.arange(1.0, sol.coeffs.size + 1.0)
-    return _bernoulli_defect(sol, np.cos(np.outer(theta, k)),
-                             np.sin(np.outer(theta, k)), k)
+    a = sol.coeffs
+    k = np.arange(1.0, a.size + 1.0)
+    ck, sk = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    h, A, B = ck @ a, sk @ (k * a), ck @ (k * a)
+    return _defect(sol, h, A * A + (1.0 + B) ** 2)
 
 
 def residual_vector(sol: ConformalSolution, s_target: float) -> np.ndarray:
     """N+2 residuals: the surface condition at each collocation angle,
     then the steepness constraint."""
     n = sol.mode_count
-    _, k, ck, sk = _collocation_cache(n)
     r = np.empty(n + 2)
-    r[: n + 1] = _bernoulli_defect(sol, ck, sk, k)
+    r[: n + 1] = _grid_defect(sol, n)
     r[n + 1] = steepness(sol) - s_target
     return r
 
@@ -147,14 +164,14 @@ def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     n = sol.mode_count
     _, k, ck, sk = _collocation_cache(n)
     a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
-    h, A, B, S = _surface_state(a, ck, sk, k)
+    h, A, B, S = _surface_sums(a, n)
     J = np.zeros((n + 2, n + 2), order="F")
     excess = E - g * h
     # d/da_k: product rule through h and through S,
     #   w_h ck + w_S (2A (sk k) + 2(1+B) (ck k))  row by row,
     # assembled a block of rows at a time in two small scratch buffers rather
     # than in full-size temporaries. Every element sees the same operations
-    # in the same order as that broadcast formula, so J is bit-identical.
+    # in the same order as that broadcast formula, so J is bit-identical to it.
     w_h = (-2.0 * g * S / c**2)[:, None]
     w_S = (2.0 * excess / c**2)[:, None]
     two_a = (2.0 * A)[:, None]
@@ -186,19 +203,9 @@ def midpoint_residual(sol: ConformalSolution) -> float:
 
     Aliasing probe: the collocation residual is ~newton_tol by construction,
     while between the angles it is governed by the unresolved tail. The
-    surface sums come from one real FFT on the 2N-interval grid
-    theta_m = m pi / (2N), whose odd points are the midpoints.
+    midpoints are the odd points of the 2N-interval grid theta_m = m pi / (2N).
     """
-    n = sol.mode_count
-    a = sol.coeffs
-    series = np.zeros((2, n + 1))  # slot 0 is the absent k = 0 mode
-    series[0, 1:] = a
-    series[1, 1:] = np.arange(1.0, n + 1.0) * a
-    # sum_k x_k e^{-ik theta_m}: h and B are the real parts, -A the imaginary.
-    sums = np.fft.rfft(series, n=4 * n)[:, 1::2]
-    h, B, A = sums[0].real, sums[1].real, -sums[1].imag
-    S = A * A + (1.0 + B) ** 2
-    return float(np.abs(_defect(sol, h, S)).max())
+    return float(np.abs(_grid_defect(sol, 2 * sol.mode_count)[1::2]).max())
 
 
 def initial_guess(s0: float, cfg: WaveConfig) -> ConformalSolution:
@@ -243,9 +250,16 @@ def newton_solve(
     """Solve the collocated system at fixed steepness from a warm start.
 
     Damped Newton iteration with the analytic Jacobian: a step is halved
-    (at most 8 times) until the max-norm residual decreases. Convergence is
-    checked before the first step, so an exact guess (e.g. the flat stream
-    at s_target = 0, where the Jacobian is singular) returns immediately.
+    (at most 8 times) until the max-norm residual decreases. A full step
+    that cuts the residual at least tenfold freezes its LU factorization:
+    the next iterations first try the undamped chord step with the frozen
+    factors, and keep it only while it too cuts the residual tenfold (or
+    reaches ``newton_tol``); otherwise the factors are dropped and a fresh
+    Jacobian is built at the same iterate. Chord and Newton steps both count
+    as iterations, toward ``newton_max_iter`` and in ``diagnostics``.
+    Convergence is checked before the first step, so an exact guess (e.g.
+    the flat stream at s_target = 0, where the Jacobian is singular) returns
+    immediately.
 
     Raises NonConvergence, SingularJacobian or TailNotResolved; an accepted
     solution satisfies the residual tolerance, the tail-decay bound, c > 0,
@@ -263,6 +277,16 @@ def newton_solve(
             gravity=cfg.gravity, surface_pressure=cfg.surface_pressure,
         )
 
+    def trial(u_t: np.ndarray):
+        """(u_t, solution, residual, max-norm); the norm is inf if u_t or its
+        residual is not finite."""
+        sol_t = make(u_t)
+        if sol_t is None:
+            return u_t, None, None, np.inf
+        r_t = residual_vector(sol_t, s_target)
+        rmax_t = _linf(r_t)
+        return u_t, sol_t, r_t, rmax_t if np.isfinite(rmax_t) else np.inf
+
     u = np.concatenate([guess.coeffs, [guess.c, guess.E]])
     sol = make(u)
     if sol is None:
@@ -270,6 +294,7 @@ def newton_solve(
     r = residual_vector(sol, s_target)
     rmax = _linf(r)
     iters = 0
+    frozen = None  # LU factors of the last full step that contracted tenfold
     while rmax > cfg.newton_tol:
         if not np.isfinite(rmax):
             raise NonConvergence("residual became non-finite", iters, rmax)
@@ -277,38 +302,44 @@ def newton_solve(
             raise NonConvergence(
                 f"no convergence in {cfg.newton_max_iter} iterations "
                 f"(residual {rmax:.3e})", iters, rmax)
+        if frozen is not None:
+            step = trial(u + lu_solve(frozen, -r))
+            if step[3] <= max(_CHORD_CONTRACTION * rmax, cfg.newton_tol):
+                u, sol, r, rmax = step
+                iters += 1
+                continue
+            frozen = None
+        # Let the last factors go first: one N^2 array at a time, not two.
+        J = lu_piv = None
         J = jacobian(sol, s_target)
         # 1-norm for the condition estimator. It is non-finite exactly when
         # an entry is, which spares LU its own finiteness scan; J is rebuilt
-        # every iteration, so LU may factor it in place.
+        # for every fresh step, so LU may factor it in place.
         (lange,) = get_lapack_funcs(("lange",), (J,))
         anorm = float(lange("1", J))
         if not np.isfinite(anorm):
             raise SingularJacobian("Jacobian has non-finite entries")
-        try:
+        # An exactly singular J only warns here; the rcond floor raises.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
             lu_piv = lu_factor(J, overwrite_a=True, check_finite=False)
-        except Exception as exc:  # LinAlgError on exact singularity
-            raise SingularJacobian(f"LU factorization failed: {exc}") from exc
         if _rcond(lu_piv[0], anorm) < _RCOND_FLOOR:
             raise SingularJacobian(
                 f"Jacobian condition estimate below {_RCOND_FLOOR:g}")
         delta = lu_solve(lu_piv, -r)
         lam = 1.0
-        accepted = None
         for _ in range(_MAX_DAMPINGS + 1):
-            trial = make(u + lam * delta)
-            if trial is not None:
-                r_t = residual_vector(trial, s_target)
-                rmax_t = _linf(r_t)
-                if np.isfinite(rmax_t) and (rmax_t < rmax or rmax_t <= cfg.newton_tol):
-                    accepted = (u + lam * delta, trial, r_t, rmax_t)
-                    break
+            step = trial(u + lam * delta)
+            if step[3] < rmax or step[3] <= cfg.newton_tol:
+                break
             lam *= 0.5
-        if accepted is None:
+        else:
             raise NonConvergence(
                 f"damping exhausted at iteration {iters} (residual {rmax:.3e})",
                 iters, rmax)
-        u, sol, r, rmax = accepted
+        if lam == 1.0 and step[3] <= _CHORD_CONTRACTION * rmax:
+            frozen = lu_piv
+        u, sol, r, rmax = step
         iters += 1
     tail = tail_ratio(sol)
     if diagnostics is not None:

@@ -32,7 +32,7 @@ from .hodograph_fields import (
     surface_curvature,
     velocity_gradients,
 )
-from .spectral_solver import collocation_angles, surface_residual
+from .spectral_solver import _grid_defect, collocation_angles
 from .wave_model import (
     ConformalSolution,
     StripPoint,
@@ -387,20 +387,20 @@ def _series_reference_check(sol: ConformalSolution, cfg: WaveConfig) -> CheckRes
 
 def _bernoulli_checks(sol: ConformalSolution, cfg: WaveConfig) -> list[CheckResult]:
     n = sol.mode_count
-    theta = collocation_angles(n)
-    r_c = np.abs(surface_residual(sol, theta))
+    # On the 2N-interval grid theta_m = m pi / (2N) the even points are the
+    # collocation angles and the odd points the midpoints between them.
+    defect = np.abs(_grid_defect(sol, 2 * n))
+    r_c, r_m = defect[0::2], defect[1::2]
     j = int(r_c.argmax())
     coll = CheckResult(
         "bernoulli_collocation", bool(r_c[j] <= 10.0 * cfg.newton_tol),
-        float(r_c[j]), (float(sol.c * theta[j]), 0.0), theta.size, 0,
-        10.0 * cfg.newton_tol)
-    mid = (np.arange(n) + 0.5) * np.pi / n
-    r_m = np.abs(surface_residual(sol, mid))
+        float(r_c[j]), (float(sol.c * collocation_angles(n)[j]), 0.0),
+        r_c.size, 0, 10.0 * cfg.newton_tol)
     j = int(r_m.argmax())
     midc = CheckResult(
         "bernoulli_midpoint", bool(r_m[j] <= 1e3 * cfg.newton_tol),
-        float(r_m[j]), (float(sol.c * mid[j]), 0.0), mid.size, 0,
-        1e3 * cfg.newton_tol,
+        float(r_m[j]), (float(sol.c * ((j + 0.5) * np.pi / n)), 0.0), r_m.size,
+        0, 1e3 * cfg.newton_tol,
         note="aliasing probe between collocation angles")
     return [coll, midc]
 

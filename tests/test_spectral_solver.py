@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,21 @@ def test_surface_residual_matches_residual_vector(sol_005):
     assert np.allclose(res[:len(th)], srf, atol=1e-15)
 
 
+def test_residual_vector_matches_dense_sums(family_n256):
+    for m in family_n256.members:
+        n = m.solution.mode_count
+        res = residual_vector(m.solution, m.steepness)
+        srf = surface_residual(m.solution, collocation_angles(n))
+        assert np.abs(res[:-1] - srf).max() <= 1e-13
+
+
+def test_residual_vector_matches_dense_sums_padded_to_2048(sol_010):
+    wide = _pad_modes(sol_010, 2048)
+    res = residual_vector(wide, steepness(wide))
+    srf = surface_residual(wide, collocation_angles(2048))
+    assert np.abs(res[:-1] - srf).max() <= 1e-13
+
+
 def test_midpoint_residual_flat_is_zero(cfg64):
     assert midpoint_residual(initial_guess(0.0, cfg64)) == 0.0
 
@@ -127,15 +143,14 @@ def test_jacobian_steepness_row(cfg64):
 
 def _broadcast_jacobian(sol):
     # The full-size broadcast formula the blocked assembly must reproduce bit
-    # for bit.
+    # for bit, from the same surface sums (checked against dense sums by the
+    # residual tests above).
     n = sol.mode_count
     theta = collocation_angles(n)
     k = np.arange(1.0, n + 1.0)
     ck, sk = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
     a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
-    ka = k * a
-    h, A, B = ck @ a, sk @ ka, ck @ ka
-    S = A * A + (1.0 + B) ** 2
+    h, A, B, S = spectral_solver._surface_sums(a, n)
     excess = E - g * h
     J = np.zeros((n + 2, n + 2))
     J[: n + 1, :n] = (
@@ -168,6 +183,23 @@ def test_non_finite_jacobian_raises_singular(cfg64, monkeypatch, bad):
     monkeypatch.setattr(spectral_solver, "jacobian", poisoned)
     with pytest.raises(SingularJacobian, match="non-finite"):
         newton_solve(initial_guess(0.01, cfg64), 0.01, cfg64)
+
+
+def test_exactly_singular_jacobian_raises_quietly(cfg64, monkeypatch):
+    # LU only warns on an exactly zero pivot; the rcond floor must raise,
+    # and no warning may escape.
+    exact = spectral_solver.jacobian
+
+    def singular(sol, s_target):
+        J = exact(sol, s_target)
+        J[3, :] = 0.0
+        return J
+
+    monkeypatch.setattr(spectral_solver, "jacobian", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match="condition"):
+            newton_solve(initial_guess(0.01, cfg64), 0.01, cfg64)
 
 
 def test_jacobian_matches_finite_differences(sol_005, rng):
@@ -340,7 +372,103 @@ def test_estimate_limit_does_not_resolve_after_mode_cap_tail(monkeypatch):
                 if a[0] == 128 and a[2] and b[1] == a[1]]
     assert resolves == []
     assert est.stop_reason == "mode_cap"
-    assert est.s_max == 0.12203125
+    assert est.s_max == 0.12203124999999997
+
+
+def _count_jacobians(monkeypatch):
+    calls = []
+    real = spectral_solver.jacobian
+
+    def counted(sol, s_target):
+        calls.append(sol.mode_count)
+        return real(sol, s_target)
+
+    monkeypatch.setattr(spectral_solver, "jacobian", counted)
+    return calls
+
+
+def test_plain_newton_agrees_with_chord_steps(family_n256, monkeypatch):
+    # With no contraction good enough to freeze, every step is a fresh
+    # Newton step; both iterations must land on the same waves.
+    monkeypatch.setattr(spectral_solver, "_CHORD_CONTRACTION", 0.0)
+    jacs = _count_jacobians(monkeypatch)
+    plain = continue_family(0.01, 0.10, WaveConfig(mode_count=256))
+    assert len(jacs) == sum(m.newton_iters for m in plain.members)
+    assert len(plain.members) == len(family_n256.members)
+    for p, m in zip(plain.members, family_n256.members):
+        assert p.steepness == pytest.approx(m.steepness, abs=1e-14)
+        assert np.abs(p.solution.coeffs - m.solution.coeffs).max() <= 1e-11
+        assert abs(p.solution.c - m.solution.c) <= 1e-11
+        assert abs(p.solution.E - m.solution.E) <= 1e-11
+
+
+def test_chord_steps_contract_tenfold(monkeypatch):
+    # Log every Newton start, Jacobian and residual; a residual that follows
+    # an accepted step and is not followed by a Jacobian is an accepted step
+    # taken with frozen factors.
+    events = []
+    real_solve = spectral_solver.newton_solve
+    real_jac = spectral_solver.jacobian
+    real_res = spectral_solver.residual_vector
+
+    def solve(*args, **kwargs):
+        events.append(("start", None))
+        return real_solve(*args, **kwargs)
+
+    def jac(sol, s_target):
+        events.append(("jac", None))
+        return real_jac(sol, s_target)
+
+    def res(sol, s_target):
+        r = real_res(sol, s_target)
+        events.append(("res", float(np.abs(r).max())))
+        return r
+
+    monkeypatch.setattr(spectral_solver, "newton_solve", solve)
+    monkeypatch.setattr(spectral_solver, "jacobian", jac)
+    monkeypatch.setattr(spectral_solver, "residual_vector", res)
+    # The walk to the 128-mode cap ends in solves whose steps contract
+    # poorly, which must not be taken with frozen factors.
+    cfg = WaveConfig(mode_count=64)
+    continue_family(0.01, 0.2, cfg, max_modes=128)
+    events.append(("start", None))
+
+    chord_steps = 0
+    i = 0
+    while i < len(events) - 1:
+        assert events[i][0] == "start" and events[i + 1][0] == "res"
+        current = events[i + 1][1]
+        i += 2
+        while events[i][0] != "start":
+            if events[i][0] == "jac":
+                # fresh step: the first trial that lowers the residual
+                i += 1
+                while events[i][0] == "res":
+                    value = events[i][1]
+                    i += 1
+                    if value < current or value <= cfg.newton_tol:
+                        current = value
+                        break
+            elif events[i + 1][0] == "jac":
+                i += 1  # rejected chord trial; a fresh step follows
+            else:
+                value = events[i][1]
+                assert value <= 0.1 * current or value <= cfg.newton_tol
+                chord_steps += 1
+                current = value
+                i += 1
+    assert chord_steps > 0
+
+
+def test_continuation_jacobian_budget(monkeypatch):
+    # Counts, not timings: the frozen factorization carries most steps of
+    # a 256-mode walk, so the walk builds far fewer Jacobians than it takes
+    # Newton iterations.
+    jacs = _count_jacobians(monkeypatch)
+    fam = continue_family(0.01, 0.10, WaveConfig(mode_count=256),
+                          max_modes=256)
+    assert len(jacs) <= 12
+    assert sum(m.newton_iters for m in fam.members) > len(jacs)
 
 
 def test_tail_ratio_consistency(family_n256):
