@@ -13,7 +13,8 @@ The pressure gradient is computed along the momentum-balance route
 (P_x = (c-u) u_x - v u_y, P_y = -g + (c-u) v_x - v v_y) and cross-checked
 against the algebraically equivalent shortcut P_x = u_q / D. These formulas
 are written once, in `_fields`: pointwise functions apply it to the
-single-point jet, grids and exported records to the matrix-product jet.
+scattered-point jet (at one point, or at every point of a StripPoint that
+carries arrays), grids and exported records to the tensor-grid jet.
 
 Near the limiting wave the crest approaches a stagnation point, D blows up
 and pointwise values within a small disc around the crest stop being
@@ -32,10 +33,10 @@ from .wave_model import (
     InvalidConfig,
     StripPoint,
     WaveConfig,
+    _jet_points,
     crest_indicator,
     eval_conformal_jet,
     eval_jet_grid,
-    _jet_unchecked,
 )
 
 __all__ = [
@@ -94,10 +95,10 @@ def _exclusion_mask(sol, q, p, cfg):
 
 
 def _fields(jet, sol: ConformalSolution) -> dict:
-    """Every field derived from a jet; scalar (`ConformalJet`) or array
-    (`JetGrid`) jets alike.
+    """Every field derived from a jet (`ConformalJet` or `JetGrid`), at one
+    point or many alike.
 
-    Returns D, u, v, P, f, f_q, the strip derivatives u_q .. v_p of the
+    Returns x, y, D, u, v, P, f, f_q, the strip derivatives u_q .. v_p of the
     velocity, its physical derivatives u_x .. v_y, both P_x routes (P_x,
     P_x_alt) and P_y.
     """
@@ -117,7 +118,7 @@ def _fields(jet, sol: ConformalSolution) -> dict:
     v_y = -v * v_q + cmu * v_p
     g = sol.gravity
     return {
-        "D": d, "u": sol.c - cmu, "v": v,
+        "x": jet.x, "y": jet.h, "D": d, "u": sol.c - cmu, "v": v,
         "P": sol.E + sol.surface_pressure - g * jet.h - 0.5 / d,
         "f": cmu * v - g * jet.x,
         "f_q": -u_q * v + cmu * v_q - g * h_p,  # x_q = h_p
@@ -129,34 +130,46 @@ def _fields(jet, sol: ConformalSolution) -> dict:
     }
 
 
+def _at_first(mask, *values) -> list[float]:
+    """The values, broadcast to the mask's shape, at its first set entry."""
+    j = int(np.argmax(mask))
+    return [float(np.broadcast_to(v, np.shape(mask)).flat[j]) for v in values]
+
+
 def _point_fields(sol: ConformalSolution, pt: StripPoint,
                   cfg: WaveConfig | None) -> dict:
-    """`_fields` at one point, refused inside an active excision disc."""
-    if bool(_exclusion_mask(sol, pt.q, pt.p, cfg or _DEFAULT)):
+    """`_fields` at a strip point, or at every point of an array StripPoint,
+    refused if any lies inside an active excision disc."""
+    inside = _exclusion_mask(sol, pt.q, pt.p, cfg or _DEFAULT)
+    if inside.any():
+        qi, pi_ = _at_first(inside, pt.q, pt.p)
         raise StagnationProximity(
-            f"point ({pt.q:.6g}, {pt.p:.6g}) lies within the excision disc "
+            f"point ({qi:.6g}, {pi_:.6g}) lies within the excision disc "
             f"of a near-stagnation crest")
     return _fields(eval_conformal_jet(sol, pt), sol)
 
+
+# The pointwise functions below take one StripPoint; one that carries arrays
+# of points gives arrays of values, elementwise, in one evaluation.
 
 def velocity(sol: ConformalSolution, pt: StripPoint,
              cfg: WaveConfig | None = None) -> tuple[float, float]:
     """Velocity (u, v) in the moving frame at a strip point."""
     fl = _point_fields(sol, pt, cfg)
-    return (float(fl["u"]), float(fl["v"]))
+    return (fl["u"], fl["v"])
 
 
 def velocity_gradients(sol: ConformalSolution, pt: StripPoint,
                        cfg: WaveConfig | None = None):
     """Physical velocity gradients (u_x, u_y, v_x, v_y) at a strip point."""
     fl = _point_fields(sol, pt, cfg)
-    return tuple(float(fl[key]) for key in ("u_x", "u_y", "v_x", "v_y"))
+    return tuple(fl[key] for key in ("u_x", "u_y", "v_x", "v_y"))
 
 
 def pressure(sol: ConformalSolution, pt: StripPoint,
              cfg: WaveConfig | None = None) -> float:
     """Fluid pressure at a strip point; equals surface_pressure on p = 0."""
-    return float(_point_fields(sol, pt, cfg)["P"])
+    return _point_fields(sol, pt, cfg)["P"]
 
 
 def pressure_gradient(sol: ConformalSolution, pt: StripPoint,
@@ -165,15 +178,17 @@ def pressure_gradient(sol: ConformalSolution, pt: StripPoint,
 
     Momentum-balance route, with the u_q / D shortcut for P_x evaluated as
     a consistency guard; the two are algebraically identical and must agree
-    to rounding.
+    to rounding. ArithmeticError names the first point where they do not.
     """
     fl = _point_fields(sol, pt, cfg)
-    p_x, p_alt = float(fl["P_x"]), float(fl["P_x_alt"])
-    if abs(p_x - p_alt) > 1e-9 * (abs(p_x) + sol.gravity):
+    p_x, p_alt = fl["P_x"], fl["P_x_alt"]
+    bad = np.abs(p_x - p_alt) > 1e-9 * (np.abs(p_x) + sol.gravity)
+    if bad.any():
+        qi, pi_, a, b = _at_first(bad, pt.q, pt.p, p_x, p_alt)
         raise ArithmeticError(
-            f"pressure-gradient routes disagree at ({pt.q:.6g}, {pt.p:.6g}): "
-            f"{p_x:.17g} vs {p_alt:.17g}")
-    return (p_x, float(fl["P_y"]))
+            f"pressure-gradient routes disagree at ({qi:.6g}, {pi_:.6g}): "
+            f"{a:.17g} vs {b:.17g}")
+    return (p_x, fl["P_y"])
 
 
 def f_field(sol: ConformalSolution, pt: StripPoint,
@@ -183,7 +198,7 @@ def f_field(sol: ConformalSolution, pt: StripPoint,
     Harmonic in the physical variables; vanishes on the crest line and
     equals -g*pi on the trough line.
     """
-    return float(_point_fields(sol, pt, cfg)["f"])
+    return _point_fields(sol, pt, cfg)["f"]
 
 
 def field_sample(sol: ConformalSolution, pt: StripPoint,
@@ -193,7 +208,9 @@ def field_sample(sol: ConformalSolution, pt: StripPoint,
 
     Never raises on exclusion; the record is flagged instead.
     """
-    return _records(grid_fields(sol, [pt.q], [pt.p], cfg))[0]
+    q, p = np.array([pt.q]), np.array([pt.p])
+    jet = eval_conformal_jet(sol, StripPoint(q[None, :], p[:, None]))
+    return _records(_field_grid(sol, jet, q, p, cfg or _DEFAULT))[0]
 
 
 def surface(sol: ConformalSolution, m: int = 256,
@@ -271,15 +288,18 @@ class FieldGrid:
     excluded: np.ndarray
 
 
+def _field_grid(sol, jet, q, p, cfg: WaveConfig) -> FieldGrid:
+    """The `FieldGrid` of a jet on the tensor grid q x p."""
+    excluded = _exclusion_mask(sol, q[None, :], p[:, None], cfg)
+    return FieldGrid(q=q, p=p, h_q=jet.h_q, h_p=jet.h_p, excluded=excluded,
+                     **_fields(jet, sol))
+
+
 def grid_fields(sol: ConformalSolution, q: np.ndarray, p: np.ndarray,
                 cfg: WaveConfig | None = None) -> FieldGrid:
     """Evaluate all fields on the tensor grid q x p (vectorized fast path)."""
-    cfg = cfg or _DEFAULT
     jets = eval_jet_grid(sol, np.asarray(q, float), np.asarray(p, float))
-    excluded = _exclusion_mask(sol, jets.q[None, :], jets.p[:, None], cfg)
-    return FieldGrid(q=jets.q, p=jets.p, x=jets.x, y=jets.h,
-                     h_q=jets.h_q, h_p=jets.h_p, excluded=excluded,
-                     **_fields(jets, sol))
+    return _field_grid(sol, jets, jets.q, jets.p, cfg or _DEFAULT)
 
 
 def _records(gf: FieldGrid) -> np.recarray:
@@ -313,27 +333,37 @@ def physical_grid(sol: ConformalSolution,
     return _records(grid_fields(sol, q, p, cfg))
 
 
-def invert_position(sol: ConformalSolution, x_target: float, y_target: float,
-                    q0: float, p0: float, tol: float = 1e-13,
-                    max_iter: int = 50) -> tuple[float, float]:
-    """Find the strip point mapping to the physical point (x, y).
+def invert_position(sol: ConformalSolution, x_target, y_target, q0, p0,
+                    tol: float = 1e-13, max_iter: int = 50):
+    """Find the strip points mapping to the physical points (x, y).
 
     Two-dimensional Newton iteration on (x(q,p) - x, h(q,p) - y) with the
     exact Jacobian [[h_p, -h_q], [h_q, h_p]] (determinant D > 0, so the map
     is locally invertible away from stagnation). Needs a starting point on
     the correct period; converges quadratically from any reasonable one.
+
+    Targets and starts are floats or arrays of shapes that broadcast; all
+    points iterate at once and each stops when its own step falls to tol.
+    Returns (q, p) of the broadcast shape (floats for scalar input); raises
+    RuntimeError if any point takes more than max_iter steps.
     """
-    q, p = float(q0), float(p0)
+    x_t, y_t, q, p = (np.array(v, dtype=float) for v in np.broadcast_arrays(
+        x_target, y_target, q0, p0))
+    shape = q.shape
+    x_t, y_t, q, p = x_t.ravel(), y_t.ravel(), q.ravel(), p.ravel()
+    todo = np.arange(q.size)
     for _ in range(max_iter):
-        jet = _jet_unchecked(sol, q, p)
-        rx = jet.x - x_target
-        ry = jet.h - y_target
+        jet = _jet_points(sol, q[todo], p[todo])
+        rx = jet.x - x_t[todo]
+        ry = jet.h - y_t[todo]
         d = jet.h_q**2 + jet.h_p**2
         dq = (jet.h_p * (-rx) + jet.h_q * (-ry)) / d
         dp = (-jet.h_q * (-rx) + jet.h_p * (-ry)) / d
-        q += dq
-        p += dp
-        if abs(dq) + abs(dp) <= tol:
-            return (q, p)
+        q[todo] += dq
+        p[todo] += dp
+        todo = todo[~(np.abs(dq) + np.abs(dp) <= tol)]
+        if todo.size == 0:
+            return (q.reshape(shape)[()], p.reshape(shape)[()])
     raise RuntimeError(
-        f"position inversion did not converge for ({x_target:.6g}, {y_target:.6g})")
+        f"position inversion did not converge for ({x_t[todo[0]]:.6g}, "
+        f"{y_t[todo[0]]:.6g}) and {todo.size - 1} more points")

@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used by the test suite.
 
 Nothing here shares numerical code with the paths it checks: series values
-are re-summed term by term in extended precision, derivatives are obtained
+are re-summed term by term in extended precision, the Bernoulli surface
+defect is summed densely at arbitrary angles, derivatives are obtained
 by finite differences instead of term-wise differentiation, the
 small-amplitude wave is written down in closed form, and the limiting
 steepness is re-bracketed by plain bisection with a finer solver budget than
@@ -26,6 +27,7 @@ from .wave_model import (
 
 __all__ = [
     "naive_eval",
+    "surface_residual",
     "fd_derivative",
     "fd_laplacian",
     "physical_lift",
@@ -38,58 +40,64 @@ __all__ = [
 def naive_eval(sol: ConformalSolution, pt: StripPoint) -> ConformalJet:
     """Term-by-term jet evaluation in extended precision.
 
-    Plain Python loop over modes with np.longdouble accumulators. Every
+    Each series is summed over its mode array in np.longdouble. Every
     component (including x_q, x_p and h_pp) is summed from its own series
     rather than derived through the conjugacy relations, so comparing
     against `eval_conformal_jet` exercises those identities for real.
     """
     if pt.p > 0.0:
         raise ValueError("evaluation above the surface")
-    one = np.longdouble(1.0)
     c = np.longdouble(sol.c)
     q = np.longdouble(pt.q)
     p = np.longdouble(pt.p)
-    h = p / c
-    h_q = np.longdouble(0.0)
-    h_p = one / c
-    h_qq = np.longdouble(0.0)
-    h_qp = np.longdouble(0.0)
-    h_pp = np.longdouble(0.0)
-    x = q / c
-    x_q = one / c
-    x_p = np.longdouble(0.0)
-    for i, a in enumerate(sol.coeffs):
-        k = np.longdouble(i + 1)
-        e = np.longdouble(a) * np.exp(k * p / c)
-        cs = np.cos(k * q / c)
-        sn = np.sin(k * q / c)
-        h += e * cs
-        h_q += -(k / c) * e * sn
-        h_p += (k / c) * e * cs
-        h_qq += -(k / c) ** 2 * e * cs
-        h_qp += -(k / c) ** 2 * e * sn
-        h_pp += (k / c) ** 2 * e * cs
-        x += e * sn
-        x_q += (k / c) * e * cs
-        x_p += (k / c) * e * sn
+    k = np.arange(1, sol.coeffs.size + 1, dtype=np.longdouble)
+    e = sol.coeffs.astype(np.longdouble) * np.exp(k * p / c)
+    cs = np.cos(k * q / c)
+    sn = np.sin(k * q / c)
+    kc = k / c
     return ConformalJet(
-        h=float(h), h_q=float(h_q), h_p=float(h_p),
-        h_qq=float(h_qq), h_qp=float(h_qp), h_pp=float(h_pp),
-        x=float(x), x_q=float(x_q), x_p=float(x_p),
+        h=float(p / c + np.sum(e * cs)),
+        h_q=float(np.sum(-kc * e * sn)),
+        h_p=float(1 / c + np.sum(kc * e * cs)),
+        h_qq=float(np.sum(-kc**2 * e * cs)),
+        h_qp=float(np.sum(-kc**2 * e * sn)),
+        h_pp=float(np.sum(kc**2 * e * cs)),
+        x=float(q / c + np.sum(e * sn)),
+        x_q=float(1 / c + np.sum(kc * e * cs)),
+        x_p=float(np.sum(kc * e * sn)),
     )
+
+
+def surface_residual(sol: ConformalSolution, theta: np.ndarray) -> np.ndarray:
+    """Bernoulli surface defect 2 (E - g h) (h_q^2 + h_p^2) - 1 at angles theta.
+
+    Dense sums at arbitrary angles: the reference the solver's FFT grid sums
+    are checked against.
+    """
+    theta = np.asarray(theta, dtype=float)
+    a = sol.coeffs
+    k = np.arange(1.0, a.size + 1.0)
+    ck, sk = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    h, A, B = ck @ a, sk @ (k * a), ck @ (k * a)
+    S = A * A + (1.0 + B) ** 2
+    return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
 
 
 def fd_derivative(field, pt, direction=1.0, step=1e-5, richardson=False):
     """Fourth-order central difference of ``field`` along ``direction``.
 
     ``field`` is called as field(pt + t * direction); pt and direction may be
-    scalars or same-shape arrays. With ``richardson=True`` the step and
-    half-step estimates are combined, giving a sixth-order value.
+    scalars or same-shape arrays, or pt may carry trailing points axes
+    beyond direction's shape (pt of shape (2, n) with direction (2,)), so
+    that one call differentiates at every point. With ``richardson=True``
+    the step and half-step estimates are combined, giving a sixth-order
+    value.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     pt = np.asarray(pt, dtype=float)
     d = np.asarray(direction, dtype=float)
+    d = d.reshape(d.shape + (1,) * (pt.ndim - d.ndim))
 
     def stencil(h):
         return (
@@ -107,35 +115,43 @@ def fd_derivative(field, pt, direction=1.0, step=1e-5, richardson=False):
 
 
 def fd_laplacian(field, pt, step=5e-4):
-    """Five-point Laplacian of a scalar field of two variables at ``pt``."""
+    """Five-point Laplacian of a scalar field of two variables at ``pt``.
+
+    pt has shape (2,) or (2, *s) for points along trailing axes; the field
+    is called on the same shape.
+    """
     if step <= 0.0:
         raise ValueError("step must be positive")
     pt = np.asarray(pt, dtype=float)
-    ex = np.array([step, 0.0])
-    ey = np.array([0.0, step])
+    axes = (1,) * (pt.ndim - 1)
+    ex = np.array([step, 0.0]).reshape((2,) + axes)
+    ey = np.array([0.0, step]).reshape((2,) + axes)
     return (
         field(pt + ex) + field(pt - ex) + field(pt + ey) + field(pt - ey)
         - 4.0 * field(pt)
     ) / step**2
 
 
-def physical_lift(sol: ConformalSolution, fn, q0: float, p0: float):
+def physical_lift(sol: ConformalSolution, fn, q0, p0):
     """Wrap a strip-coordinate field as a function of physical position.
 
     Returns callable(xy) evaluating ``fn(sol, StripPoint(q, p))`` at the
-    strip point that maps to the physical point xy = (x, y). Successive
-    calls warm-start the position inversion from the previous result, so
-    finite-difference stencils around (q0, p0) stay cheap.
+    strip points that map to the physical points xy = (x, y), with p
+    clamped to the fluid side of the surface. q0 and p0 are the starting
+    strip points, floats or arrays of one shape s; xy then has shape
+    (2, *s), and ``fn`` receives one StripPoint carrying all the points.
+    Every point is inverted at once, and each warm-starts from its own
+    previous result, so finite-difference stencils around (q0, p0) stay
+    cheap.
     """
     from .hodograph_fields import invert_position
 
-    state = {"q": q0, "p": p0}
+    start = [q0, p0]
 
     def lifted(xy):
-        q, p = invert_position(sol, float(xy[0]), float(xy[1]),
-                               state["q"], state["p"])
-        state["q"], state["p"] = q, p
-        return fn(sol, StripPoint(q, min(p, 0.0)))
+        q, p = invert_position(sol, xy[0], xy[1], *start)
+        start[:] = q, p
+        return fn(sol, StripPoint(q, np.minimum(p, 0.0)))
 
     return lifted
 

@@ -41,7 +41,6 @@ __all__ = [
     "SingularJacobian",
     "TailNotResolved",
     "collocation_angles",
-    "surface_residual",
     "residual_vector",
     "jacobian",
     "midpoint_residual",
@@ -121,29 +120,11 @@ def _surface_sums(a: np.ndarray, m: int):
     return h, A, B, S
 
 
-def _defect(sol: ConformalSolution, h, S) -> np.ndarray:
-    """2 (E - g h) S / c^2 - 1 from the surface sums h and S."""
-    return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
-
-
 def _grid_defect(sol: ConformalSolution, m: int) -> np.ndarray:
-    """The Bernoulli defect at the m+1 angles theta_j = j pi / m."""
+    """The Bernoulli defect 2 (E - g h) S / c^2 - 1 at the m+1 angles
+    theta_j = j pi / m."""
     h, _, _, S = _surface_sums(sol.coeffs, m)
-    return _defect(sol, h, S)
-
-
-def surface_residual(sol: ConformalSolution, theta: np.ndarray) -> np.ndarray:
-    """Bernoulli surface defect 2 (E - g h) (h_q^2 + h_p^2) - 1 at angles theta.
-
-    Dense sums at arbitrary angles: the independent evaluator the FFT grid
-    sums are checked against.
-    """
-    theta = np.asarray(theta, dtype=float)
-    a = sol.coeffs
-    k = np.arange(1.0, a.size + 1.0)
-    ck, sk = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
-    h, A, B = ck @ a, sk @ (k * a), ck @ (k * a)
-    return _defect(sol, h, A * A + (1.0 + B) ** 2)
+    return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
 
 
 def residual_vector(sol: ConformalSolution, s_target: float) -> np.ndarray:

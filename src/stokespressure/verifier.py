@@ -11,7 +11,13 @@ than a vacuous failure.
 
 Sampling points inside the excision disc of a near-stagnation crest are
 counted and skipped; every reported result states how many samples were
-checked and how many were excluded.
+checked and how many were excluded. A check left with no sample to check
+fails with margin NaN and the note "empty sampling set": it has certified
+nothing.
+
+The finite-difference witnesses evaluate all their points at once: each
+stencil is one array call on the scattered-point jet, through one array
+position inversion per stencil point.
 """
 
 from __future__ import annotations
@@ -162,6 +168,12 @@ def _loc(gf: FieldGrid, flat_index: int) -> tuple[float, float]:
     return (float(gf.q[j]), float(gf.p[i]))
 
 
+def _empty_set(name: str, n_excl: int, tol: float) -> CheckResult:
+    """The failed result of a check that has no sample left to check."""
+    return CheckResult(name, False, math.nan, (math.nan, math.nan), 0, n_excl,
+                       tol, "empty sampling set")
+
+
 def _strict_negative(name, gf, values, mask, scale, note="") -> CheckResult:
     """Strict sign check: values < 0 on the unexcluded masked set."""
     sel = mask & ~gf.excluded
@@ -169,8 +181,7 @@ def _strict_negative(name, gf, values, mask, scale, note="") -> CheckResult:
     n_excl = int((mask & gf.excluded).sum())
     vals = np.where(sel, values, -np.inf)
     if n_checked == 0:
-        return CheckResult(name, False, math.nan, (math.nan, math.nan),
-                           0, n_excl, 0.0, "empty sampling set")
+        return _empty_set(name, n_excl, 0.0)
     if np.abs(np.where(sel, values, 0.0)).max() <= _DEGENERATE_FLOOR * scale:
         return CheckResult(name, True, 0.0, (0.0, 0.0), n_checked, n_excl, 0.0,
                            "degenerate pass: field vanishes identically "
@@ -186,6 +197,8 @@ def _abs_bound(name, gf, values, mask, tol, note="") -> CheckResult:
     sel = mask & ~gf.excluded
     n_checked = int(sel.sum())
     n_excl = int((mask & gf.excluded).sum())
+    if n_checked == 0:
+        return _empty_set(name, n_excl, tol)
     vals = np.where(sel, np.abs(values), -np.inf)
     idx = int(vals.argmax())
     worst = float(vals.flat[idx])
@@ -285,16 +298,13 @@ def verify_f_results(sol: ConformalSolution, cfg: WaveConfig | None = None,
                              note="f on the crest line and f + g pi on the "
                                   "trough line"))
 
-    pts = _fd_points(sol, cfg, count=12, seed=7)
-    worst, wloc = 0.0, (0.0, 0.0)
-    for q, p in pts:
-        jet = eval_conformal_jet(sol, StripPoint(q, p))
-        lift = oracles.physical_lift(sol, lambda s_, pt: f_field(s_, pt, cfg), q, p)
-        lap = abs(oracles.fd_laplacian(lift, np.array([jet.x, jet.h]), step=1e-3))
-        if lap > worst:
-            worst, wloc = lap, (q, p)
-    checks.append(CheckResult("f_harmonic_fd", bool(worst <= 1e-5 * g), worst,
-                              wloc, len(pts), 0, 1e-5 * g))
+    q, p, n_excl = _fd_points(sol, cfg, count=12, seed=7)
+    jet = eval_conformal_jet(sol, StripPoint(q, p))
+    lift = oracles.physical_lift(
+        sol, lambda s_, pt: f_field(s_, pt, cfg), q, p)
+    lap = oracles.fd_laplacian(lift, np.array([jet.x, jet.h]), step=1e-3)
+    checks.append(_witness("f_harmonic_fd", q, p, np.abs(lap), n_excl,
+                           1e-5 * g))
     return checks
 
 
@@ -357,32 +367,39 @@ def crest_angle(sol: ConformalSolution, samples: int = 256) -> float:
 
 def _fd_points(sol, cfg, count, seed, qlo=0.12, qhi=0.88,
                plo=-3.0, phi=-0.15):
-    """Deterministic pseudo-random interior points clear of the boundaries."""
+    """Deterministic pseudo-random interior points clear of the boundaries:
+    (q, p) of the points kept and the count excluded."""
     rng = np.random.default_rng(seed)
     q = np.pi * sol.c * rng.uniform(qlo, qhi, count)
     p = sol.c * rng.uniform(plo, phi, count)
-    keep = ~_exclusion_mask(sol, q, p, cfg)
-    return list(zip(q[keep], p[keep]))
+    excl = _exclusion_mask(sol, q, p, cfg)
+    return q[~excl], p[~excl], int(excl.sum())
+
+
+def _witness(name, q, p, err, n_excl, tol, note="") -> CheckResult:
+    """Worst of the per-point witness errors err at the points (q, p)."""
+    if err.size == 0:
+        return _empty_set(name, n_excl, tol)
+    j = int(err.argmax())
+    return CheckResult(name, bool(err[j] <= tol), float(err[j]),
+                       (float(q[j]), float(p[j])), err.size, n_excl, tol, note)
 
 
 def _series_reference_check(sol: ConformalSolution, cfg: WaveConfig) -> CheckResult:
     """Vectorized jet against the extended-precision term-by-term oracle."""
     rng = np.random.default_rng(11)
-    pts = [(float(rng.uniform(-2.0 * np.pi * sol.c, 2.0 * np.pi * sol.c)),
-            float(rng.uniform(-4.0 * sol.c, 0.0))) for _ in range(24)]
-    worst, wloc = 0.0, (0.0, 0.0)
-    for q, p in pts:
-        fast = eval_conformal_jet(sol, StripPoint(q, p))
-        slow = oracles.naive_eval(sol, StripPoint(q, p))
-        err = max(abs(getattr(fast, name) - getattr(slow, name))
-                  for name in ("h", "h_q", "h_p", "h_qq", "h_qp", "h_pp",
-                               "x", "x_q", "x_p"))
-        if err > worst:
-            worst, wloc = err, (q, p)
-    return CheckResult("series_reference", bool(worst <= 1e-12), worst, wloc,
-                       len(pts), 0, 1e-12,
-                       note="includes conjugacy and harmonicity: the oracle "
-                            "sums x_q, x_p, h_pp independently")
+    q, p = np.array([(rng.uniform(-2.0 * np.pi * sol.c, 2.0 * np.pi * sol.c),
+                      rng.uniform(-4.0 * sol.c, 0.0)) for _ in range(24)]).T
+    fast = eval_conformal_jet(sol, StripPoint(q, p))
+    err = np.zeros_like(q)
+    for i in range(q.size):
+        slow = oracles.naive_eval(sol, StripPoint(float(q[i]), float(p[i])))
+        err[i] = max(abs(getattr(fast, name)[i] - getattr(slow, name))
+                     for name in ("h", "h_q", "h_p", "h_qq", "h_qp", "h_pp",
+                                  "x", "x_q", "x_p"))
+    return _witness("series_reference", q, p, err, 0, 1e-12,
+                    note="includes conjugacy and harmonicity: the oracle "
+                         "sums x_q, x_p, h_pp independently")
 
 
 def _bernoulli_checks(sol: ConformalSolution, cfg: WaveConfig) -> list[CheckResult]:
@@ -410,69 +427,51 @@ def _identity_checks(sol: ConformalSolution, cfg: WaveConfig,
     g = sol.gravity
     checks = []
 
-    cons = np.abs(((sol.c - gf.u) ** 2 + gf.v**2) * gf.D - 1.0)
-    idx = int(np.where(~gf.excluded, cons, -np.inf).argmax())
-    checks.append(CheckResult(
-        "hodograph_consistency", bool(cons.flat[idx] <= 1e-10),
-        float(cons.flat[idx]), _loc(gf, idx),
-        int((~gf.excluded).sum()), int(gf.excluded.sum()), 1e-10,
+    everywhere = np.ones_like(gf.excluded)
+    checks.append(_abs_bound(
+        "hodograph_consistency", gf,
+        ((sol.c - gf.u) ** 2 + gf.v**2) * gf.D - 1.0, everywhere, 1e-10,
         note="relative defect of (c-u)^2 + v^2 = 1 / (h_q^2 + h_p^2)"))
-
-    dual = np.abs(gf.P_x - gf.P_x_alt) / (np.abs(gf.P_x) + g)
-    idx = int(np.where(~gf.excluded, dual, -np.inf).argmax())
-    checks.append(CheckResult(
-        "pressure_gradient_dual", bool(dual.flat[idx] <= 1e-9),
-        float(dual.flat[idx]), _loc(gf, idx),
-        int((~gf.excluded).sum()), int(gf.excluded.sum()), 1e-9,
+    checks.append(_abs_bound(
+        "pressure_gradient_dual", gf,
+        (gf.P_x - gf.P_x_alt) / (np.abs(gf.P_x) + g), everywhere, 1e-9,
         note="momentum-balance route against u_q / D"))
 
     # Finite-difference witness for the analytic gradient, physical axes.
-    pts = _fd_points(sol, cfg, count=100, seed=3)
-    worst, wloc = 0.0, (0.0, 0.0)
-    for q, p in pts:
-        jet = eval_conformal_jet(sol, StripPoint(q, p))
-        p_x, p_y = pressure_gradient(sol, StripPoint(q, p), cfg)
-        lift = oracles.physical_lift(sol, lambda s_, pt: pressure(s_, pt, cfg), q, p)
-        base = np.array([jet.x, jet.h])
-        fx = oracles.fd_derivative(lift, base, np.array([1.0, 0.0]),
-                                   step=3e-4, richardson=True)
-        fy = oracles.fd_derivative(lift, base, np.array([0.0, 1.0]),
-                                   step=3e-4, richardson=True)
-        err = max(abs(fx - p_x), abs(fy - p_y))
-        if err > worst:
-            worst, wloc = err, (q, p)
-    checks.append(CheckResult(
-        "pressure_gradient_fd", bool(worst <= 1e-5 * g), worst, wloc,
-        len(pts), 0, 1e-5 * g,
+    q, p, n_excl = _fd_points(sol, cfg, count=100, seed=3)
+    jet = eval_conformal_jet(sol, StripPoint(q, p))
+    p_x, p_y = pressure_gradient(sol, StripPoint(q, p), cfg)
+    lift = oracles.physical_lift(
+        sol, lambda s_, pt: pressure(s_, pt, cfg), q, p)
+    base = np.array([jet.x, jet.h])
+    fx = oracles.fd_derivative(lift, base, np.array([1.0, 0.0]),
+                               step=3e-4, richardson=True)
+    fy = oracles.fd_derivative(lift, base, np.array([0.0, 1.0]),
+                               step=3e-4, richardson=True)
+    checks.append(_witness(
+        "pressure_gradient_fd", q, p,
+        np.maximum(np.abs(fx - p_x), np.abs(fy - p_y)), n_excl, 1e-5 * g,
         note="Richardson-extrapolated finite differences of P along x and y"))
 
-    pts = _fd_points(sol, cfg, count=16, seed=5)
-    worst, wloc = 0.0, (0.0, 0.0)
-    for q, p in pts:
-        jet = eval_conformal_jet(sol, StripPoint(q, p))
-        u_x, u_y, _, _ = velocity_gradients(sol, StripPoint(q, p), cfg)
-        lift = oracles.physical_lift(sol, lambda s_, pt: pressure(s_, pt, cfg), q, p)
-        lap = oracles.fd_laplacian(lift, np.array([jet.x, jet.h]), step=1e-3)
-        err = abs(lap + 2.0 * (u_x**2 + u_y**2))
-        if err > worst:
-            worst, wloc = err, (q, p)
-    checks.append(CheckResult(
-        "pressure_superharmonic", bool(worst <= 1e-5 * g), worst, wloc,
-        len(pts), 0, 1e-5 * g,
+    q, p, n_excl = _fd_points(sol, cfg, count=16, seed=5)
+    jet = eval_conformal_jet(sol, StripPoint(q, p))
+    u_x, u_y, _, _ = velocity_gradients(sol, StripPoint(q, p), cfg)
+    lift = oracles.physical_lift(
+        sol, lambda s_, pt: pressure(s_, pt, cfg), q, p)
+    lap = oracles.fd_laplacian(lift, np.array([jet.x, jet.h]), step=1e-3)
+    checks.append(_witness(
+        "pressure_superharmonic", q, p,
+        np.abs(lap + 2.0 * (u_x**2 + u_y**2)), n_excl, 1e-5 * g,
         note="FD Laplacian of P against -2 (u_x^2 + u_y^2)"))
 
     # Height-function harmonicity witnessed by finite differences in (q, p).
-    pts = _fd_points(sol, cfg, count=8, seed=13)
-    worst, wloc = 0.0, (0.0, 0.0)
-    for q, p in pts:
-        def h_at(qp):
-            return eval_conformal_jet(sol, StripPoint(qp[0], min(qp[1], 0.0))).h
-        lap = abs(oracles.fd_laplacian(h_at, np.array([q, p]), step=1e-3))
-        if lap > worst:
-            worst, wloc = lap, (q, p)
-    checks.append(CheckResult(
-        "height_harmonic_fd", bool(worst <= 1e-5), worst, wloc,
-        len(pts), 0, 1e-5))
+    q, p, n_excl = _fd_points(sol, cfg, count=8, seed=13)
+    lap = oracles.fd_laplacian(
+        lambda qp: eval_conformal_jet(
+            sol, StripPoint(qp[0], np.minimum(qp[1], 0.0))).h,
+        np.array([q, p]), step=1e-3)
+    checks.append(_witness("height_harmonic_fd", q, p, np.abs(lap), n_excl,
+                           1e-5))
 
     deep = eval_jet_grid(sol, gf.q, np.array([-10.0 * sol.c]))
     k = np.arange(1.0, sol.coeffs.size + 1.0)
@@ -505,7 +504,10 @@ def _surface_checks(sol: ConformalSolution, cfg: WaveConfig,
     sel_int[0] = sel_int[-1] = False
 
     amax = float(np.abs(sol.coeffs).max())
-    if amax <= _DEGENERATE_FLOOR:
+    if not sel_int.any():
+        checks.append(_empty_set("surface_monotone", int(surface_excl.sum()),
+                                 0.0))
+    elif amax <= _DEGENERATE_FLOOR:
         checks.append(CheckResult(
             "surface_monotone", True, 0.0, (0.0, 0.0), int(sel_int.sum()),
             int(surface_excl.sum()), 0.0, "degenerate pass: flat stream"))
@@ -518,12 +520,16 @@ def _surface_checks(sol: ConformalSolution, cfg: WaveConfig,
             int(surface_excl.sum()), 0.0,
             note="margin is max d eta / dx strictly between crest and trough"))
 
-    vals = np.where(sel, slope**2, -np.inf)
-    j = int(vals.argmax())
-    checks.append(CheckResult(
-        "surface_slope_bound", bool(vals[j] < 1.0), float(vals[j]),
-        (float(gf.q[j]), 0.0), int(sel.sum()), int(surface_excl.sum()), 1.0,
-        note="margin is max (d eta / dx)^2; must stay below 1"))
+    if not sel.any():
+        checks.append(_empty_set("surface_slope_bound",
+                                 int(surface_excl.sum()), 1.0))
+    else:
+        vals = np.where(sel, slope**2, -np.inf)
+        j = int(vals.argmax())
+        checks.append(CheckResult(
+            "surface_slope_bound", bool(vals[j] < 1.0), float(vals[j]),
+            (float(gf.q[j]), 0.0), int(sel.sum()), int(surface_excl.sum()),
+            1.0, note="margin is max (d eta / dx)^2; must stay below 1"))
 
     xs, e2 = surface_curvature(sol, max(cfg.grid_nq, 64))
     tol = 1e-8 * max(float(np.abs(e2).max()), 1e-30)

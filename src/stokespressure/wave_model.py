@@ -133,72 +133,105 @@ class ConformalSolution:
 
 @dataclass(frozen=True)
 class StripPoint:
-    """A point (q, p) of the closed half-strip p <= 0."""
+    """A point (q, p) of the closed half-strip p <= 0.
 
-    q: float
-    p: float
+    q and p may also be arrays of shapes that broadcast together: one
+    StripPoint then carries many points, and the jet and the pointwise field
+    functions evaluate them all at once, elementwise.
+    """
+
+    q: float | np.ndarray
+    p: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.q) and np.isfinite(self.p)):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
             raise ValueError("strip point coordinates must be finite")
-        if self.p > 0.0:
-            raise ValueError(f"strip point lies above the surface: p = {self.p}")
+        if np.any(self.p > 0.0):
+            raise ValueError(
+                f"strip point lies above the surface: p = {np.max(self.p)}")
 
 
 @dataclass(frozen=True)
 class ConformalJet:
     """h, x and the partial derivatives entering the hodograph dictionary.
 
-    By construction x_q = h_p, x_p = -h_q and h_qq + h_pp = 0 hold exactly.
+    Floats at one point, arrays of the points' shape at many. By
+    construction x_q = h_p, x_p = -h_q and h_qq + h_pp = 0 hold exactly.
     """
 
-    h: float
-    h_q: float
-    h_p: float
-    h_qq: float
-    h_qp: float
-    h_pp: float
-    x: float
-    x_q: float
-    x_p: float
+    h: float | np.ndarray
+    h_q: float | np.ndarray
+    h_p: float | np.ndarray
+    h_qq: float | np.ndarray
+    h_qp: float | np.ndarray
+    h_pp: float | np.ndarray
+    x: float | np.ndarray
+    x_q: float | np.ndarray
+    x_p: float | np.ndarray
 
 
-def _series_terms(sol: ConformalSolution, q: float, p: float):
-    k = np.arange(1.0, sol.coeffs.size + 1.0)
-    ek = sol.coeffs * np.exp(k * (p / sol.c))
-    ck = np.cos(k * (q / sol.c))
-    sk = np.sin(k * (q / sol.c))
-    return k, ek, ck, sk
+# Points per block of `_jet_points`: its temporaries are (block, N).
+_JET_BLOCK = 256
 
 
-def _jet_unchecked(sol: ConformalSolution, q: float, p: float) -> ConformalJet:
-    # Used by the position inverter, whose iterates may transiently cross
-    # p = 0 by a rounding margin; the series itself is entire in (q, p).
+def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
+    """Jet of the solution at scattered points (q, p), floats or arrays of
+    shapes that broadcast together.
+
+    Writes h + i x = F(w) with F(w) = w/c + sum_k a_k z^k, w = p + i q and
+    z = exp(w/c): one complex exponential per point, the powers z^k by
+    running product, then h, x and their partials from the real and
+    imaginary parts of three sums with a_k, k a_k and k^2 a_k. Points are
+    taken a block at a time, so temporaries stay O(block * N).
+
+    Returns a `ConformalJet` of arrays of the broadcast shape (floats for
+    scalar q and p). The series is entire in (q, p), so points above the
+    surface evaluate too, as the position inverter's Newton iterates may
+    need; `eval_conformal_jet` is the checked entry point for the fluid.
+    """
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
+                               np.asarray(p, dtype=float))
+    qf, pf = q.ravel(), p.ravel()
     c = sol.c
-    k, ek, ck, sk = _series_terms(sol, q, p)
-    kek = k * ek
-    k2ek = k * kek
-    h = p / c + float(ek @ ck)
-    h_q = -float(kek @ sk) / c
-    h_p = 1.0 / c + float(kek @ ck) / c
-    h_qq = -float(k2ek @ ck) / c**2
-    h_qp = -float(k2ek @ sk) / c**2
-    x = q / c + float(ek @ sk)
+    a = sol.coeffs
+    k = np.arange(1.0, a.size + 1.0)
+    weights = (a, k * a, k * k * a)
+    re = np.empty((3, qf.size))
+    im = np.empty((3, qf.size))
+    for lo in range(0, qf.size, _JET_BLOCK):
+        blk = slice(lo, lo + _JET_BLOCK)
+        z = np.exp((pf[blk] + 1j * qf[blk]) / c)
+        powers = np.empty((z.size, a.size), dtype=complex)
+        powers[:] = z[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        # Real and imaginary parts as contiguous real arrays, each summed
+        # against a weight vector: at one point that is a plain dot product,
+        # so `crest_indicator` keeps the rounding of a scalar sum.
+        zr, zi = powers.real.copy(), powers.imag.copy()
+        for i, w in enumerate(weights):
+            re[i, blk] = zr @ w
+            im[i, blk] = zi @ w
+    re = re.reshape((3,) + q.shape)
+    im = im.reshape((3,) + q.shape)
+    h_p = 1.0 / c + re[1] / c
+    h_q = -im[1] / c
+    h_qq = -re[2] / c**2
     return ConformalJet(
-        h=h, h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=h_qp, h_pp=-h_qq,
-        x=x, x_q=h_p, x_p=-h_q,
+        h=p / c + re[0], h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=-im[2] / c**2,
+        h_pp=-h_qq, x=q / c + im[0], x_q=h_p, x_p=-h_q,
     )
 
 
 def eval_conformal_jet(sol: ConformalSolution, pt: StripPoint) -> ConformalJet:
     """Evaluate the height function, its conjugate and their partials at pt.
 
-    Term-by-term differentiation of the series. Pure and deterministic;
-    rejects points above the free surface (p > 0).
+    Floats at one point; arrays when pt carries arrays of points, all taken
+    through the same scattered-point sums. Pure and deterministic; rejects
+    points above the free surface (p > 0).
     """
-    if pt.p > 0.0:
-        raise ValueError(f"evaluation above the surface: p = {pt.p}")
-    return _jet_unchecked(sol, pt.q, pt.p)
+    if np.any(pt.p > 0.0):
+        raise ValueError(f"evaluation above the surface: p = {np.max(pt.p)}")
+    return _jet_points(sol, pt.q, pt.p)
 
 
 @dataclass(frozen=True)
@@ -219,9 +252,9 @@ class JetGrid:
 def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> JetGrid:
     """Jet of the solution on the tensor grid q x p, p rows by q columns.
 
-    Matrix-product formulation of the same sums as `eval_conformal_jet`;
-    agrees with the pointwise path to rounding and is the fast path for
-    field grids (a handful of (np, N) @ (N, nq) products).
+    Tensor-grid form of the sums of `eval_conformal_jet`: the depth and
+    angle factors separate, so the sums are a handful of (np, N) @ (N, nq)
+    products. Agrees with the scattered-point jet to rounding.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)

@@ -16,6 +16,7 @@ import pytest
 from conftest import record_criterion
 
 from stokespressure import oracles
+from stokespressure.oracles import surface_residual
 from stokespressure.cli_io import main as cli_main, save_solution, load_solution
 from stokespressure.hodograph_fields import (
     field_sample,
@@ -32,7 +33,6 @@ from stokespressure.spectral_solver import (
     initial_guess,
     midpoint_residual,
     newton_solve,
-    surface_residual,
 )
 from stokespressure.verifier import crest_angle
 from stokespressure.wave_model import (

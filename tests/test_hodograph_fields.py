@@ -297,3 +297,74 @@ def test_invert_position_from_far_guess(sol_005):
     qr, pr = invert_position(sol_005, jet.x, jet.h, q0=0.0, p0=-1.5)
     assert qr == pytest.approx(1.0, abs=1e-8)
     assert pr == pytest.approx(-0.5, abs=1e-8)
+
+
+def test_invert_position_array_round_trip(sol_005, rng):
+    q = rng.uniform(0.0, math.pi * sol_005.c, 127)
+    p = rng.uniform(-3.0, 0.0, 127)
+    jet = eval_conformal_jet(sol_005, StripPoint(q, p))
+    # the far-guess case above rides along as the last point
+    far = eval_conformal_jet(sol_005, StripPoint(1.0, -0.5))
+    qr, pr = invert_position(
+        sol_005, np.append(jet.x, far.x), np.append(jet.h, far.h),
+        q0=np.append(q + 0.05, 0.0), p0=np.append(np.minimum(p + 0.05, 0.0),
+                                                  -1.5))
+    assert qr.shape == pr.shape == (128,)
+    np.testing.assert_allclose(qr, np.append(q, 1.0), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(pr, np.append(p, -0.5), rtol=0, atol=1e-9)
+    # one point still gives floats, and the same point
+    qs, ps = invert_position(sol_005, far.x, far.h, q0=0.0, p0=-1.5)
+    assert isinstance(qs, float) and isinstance(ps, float)
+    assert qs == pytest.approx(qr[-1], abs=1e-12)
+    assert ps == pytest.approx(pr[-1], abs=1e-12)
+
+
+def test_invert_position_array_names_a_point_that_does_not_converge(sol_005):
+    jet = eval_conformal_jet(sol_005, StripPoint(np.array([1.0, 2.0]),
+                                                 np.array([-0.5, -1.0])))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        invert_position(sol_005, jet.x, jet.h, q0=np.array([1.0, 0.0]),
+                        p0=np.array([-0.5, -2.0]), max_iter=2)
+
+
+def test_array_stencil_into_active_excision_disc_raises(sol_013):
+    # the second base point sits just outside the disc below the crest; the
+    # upward arm of its stencil reaches inside, the first point's does not
+    eager = WaveConfig(mode_count=512, crest_indicator_threshold=0.5,
+                       excision_radius=0.05)
+    inert = WaveConfig(mode_count=512, crest_indicator_threshold=0.1,
+                       excision_radius=0.05)
+    q0, p0 = np.array([1.5, 0.0]), np.array([-1.0, -0.0502])
+    jet = eval_conformal_jet(sol_013, StripPoint(q0, p0))
+    base = np.array([jet.x, jet.h])
+
+    def pressure_lift(cfg):
+        return oracles.physical_lift(
+            sol_013, lambda s, pt: pressure(s, pt, cfg), q0, p0)
+
+    assert np.isfinite(oracles.fd_laplacian(pressure_lift(inert), base,
+                                            step=1e-3)).all()
+    with pytest.raises(StagnationProximity):
+        oracles.fd_laplacian(pressure_lift(eager), base, step=1e-3)
+
+
+def test_pointwise_functions_take_arrays_of_points(sol_005, cfg):
+    # one StripPoint carrying arrays gives, elementwise, the one-point values
+    q = np.array([0.4, 1.3, 2.2])
+    p = np.array([-0.1, -0.9, -2.0])
+    many = StripPoint(q, p)
+    u, v = velocity(sol_005, many, cfg)
+    grads = velocity_gradients(sol_005, many, cfg)
+    P = pressure(sol_005, many, cfg)
+    P_x, P_y = pressure_gradient(sol_005, many, cfg)
+    f = f_field(sol_005, many, cfg)
+    for i in range(q.size):
+        one = StripPoint(q[i], p[i])
+        for got, want in zip((u[i], v[i], P[i], P_x[i], P_y[i], f[i],
+                              *(g[i] for g in grads)),
+                             (*velocity(sol_005, one, cfg),
+                              pressure(sol_005, one, cfg),
+                              *pressure_gradient(sol_005, one, cfg),
+                              f_field(sol_005, one, cfg),
+                              *velocity_gradients(sol_005, one, cfg))):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)

@@ -6,7 +6,13 @@ import pytest
 from stokespressure import oracles
 from stokespressure.hodograph_fields import pressure
 from stokespressure.spectral_solver import newton_solve, residual_vector
-from stokespressure.wave_model import StripPoint, WaveConfig, eval_conformal_jet, steepness
+from stokespressure.wave_model import (
+    ConformalJet,
+    StripPoint,
+    WaveConfig,
+    eval_conformal_jet,
+    steepness,
+)
 
 
 def test_naive_eval_matches_fast_path(sol_005, rng):
@@ -23,6 +29,50 @@ def test_naive_eval_matches_fast_path(sol_005, rng):
             assert abs(a - b) <= 1e-13 * (1.0 + abs(b)), \
                 f"{name} drifted at ({q:.3f},{p:.3f}): {a} vs {b}"
 
+
+
+def _naive_eval_loop(sol, pt):
+    """The plain loop over modes that `naive_eval` vectorizes, kept as its
+    reference."""
+    one = np.longdouble(1.0)
+    c = np.longdouble(sol.c)
+    q = np.longdouble(pt.q)
+    p = np.longdouble(pt.p)
+    h, h_q, h_p = p / c, np.longdouble(0.0), one / c
+    h_qq = h_qp = h_pp = np.longdouble(0.0)
+    x, x_q, x_p = q / c, one / c, np.longdouble(0.0)
+    for i, a in enumerate(sol.coeffs):
+        k = np.longdouble(i + 1)
+        e = np.longdouble(a) * np.exp(k * p / c)
+        cs = np.cos(k * q / c)
+        sn = np.sin(k * q / c)
+        h += e * cs
+        h_q += -(k / c) * e * sn
+        h_p += (k / c) * e * cs
+        h_qq += -(k / c) ** 2 * e * cs
+        h_qp += -(k / c) ** 2 * e * sn
+        h_pp += (k / c) ** 2 * e * cs
+        x += e * sn
+        x_q += (k / c) * e * cs
+        x_p += (k / c) * e * sn
+    return ConformalJet(
+        h=float(h), h_q=float(h_q), h_p=float(h_p), h_qq=float(h_qq),
+        h_qp=float(h_qp), h_pp=float(h_pp), x=float(x), x_q=float(x_q),
+        x_p=float(x_p))
+
+
+def test_naive_eval_matches_its_loop(sol_010, rng):
+    # extended-precision sums in another order: equal after rounding to
+    # double, up to a unit or so in the last place
+    for _ in range(24):
+        pt = StripPoint(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi)),
+                        float(rng.uniform(-4.0, 0.0)))
+        vec, loop = oracles.naive_eval(sol_010, pt), _naive_eval_loop(sol_010, pt)
+        for name in ("h", "h_q", "h_p", "h_qq", "h_qp", "h_pp",
+                     "x", "x_q", "x_p"):
+            a, b = getattr(vec, name), getattr(loop, name)
+            assert abs(a - b) <= 2.0 * np.finfo(float).eps * (1.0 + abs(b)), \
+                f"{name} at ({pt.q:.3f},{pt.p:.3f}): {a} vs {b}"
 
 def test_fd_derivative_on_analytic_function():
     f = lambda x: math.sin(3.0 * x)
@@ -53,6 +103,34 @@ def test_fd_laplacian_on_harmonic_function():
     bowl = lambda xy: float(xy[0] ** 2 + xy[1] ** 2)
     assert oracles.fd_laplacian(bowl, np.array([0.0, 0.0])) == pytest.approx(4.0, abs=1e-6)
 
+
+
+def test_fd_stencils_broadcast_over_trailing_points():
+    # one call on a (2, n) array of points equals n calls on single points
+    harmonic = lambda xy: xy[0] * xy[0] * xy[0] - 3.0 * xy[0] * xy[1] * xy[1]
+    pts = np.array([[0.3, -0.1, 1.2], [-0.5, -0.2, -1.0]])
+    ex = np.array([1.0, 0.0])
+    lap = oracles.fd_laplacian(harmonic, pts, step=1e-3)
+    dx = oracles.fd_derivative(harmonic, pts, ex, step=1e-3, richardson=True)
+    assert lap.shape == dx.shape == (3,)
+    for j in range(3):
+        assert lap[j] == oracles.fd_laplacian(harmonic, pts[:, j], step=1e-3)
+        assert dx[j] == oracles.fd_derivative(harmonic, pts[:, j], ex,
+                                              step=1e-3, richardson=True)
+        assert dx[j] == pytest.approx(3.0 * (pts[0, j]**2 - pts[1, j]**2),
+                                      abs=1e-9)
+
+
+def test_physical_lift_of_an_array_of_points(sol_005):
+    # lifting the jet itself returns the physical coordinates it was given
+    q0, p0 = np.array([0.9, 1.7, 2.6]), np.array([-0.7, -0.2, -1.5])
+    jet = eval_conformal_jet(sol_005, StripPoint(q0, p0))
+    lifted = oracles.physical_lift(sol_005, eval_conformal_jet, q0, p0)
+    for shift in (0.0, 1e-3, -2e-3):  # each call warm-starts from the last
+        xy = np.array([jet.x + shift, jet.h - shift])
+        back = lifted(xy)
+        np.testing.assert_allclose(back.x, xy[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back.h, xy[1], rtol=0, atol=1e-12)
 
 def test_physical_lift_round_trips_the_map(sol_005):
     cfg = WaveConfig(mode_count=64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stokespressure import oracles, spectral_solver
+from stokespressure.oracles import surface_residual
 from stokespressure.spectral_solver import (
     NonConvergence,
     SingularJacobian,
@@ -20,7 +21,6 @@ from stokespressure.spectral_solver import (
     midpoint_residual,
     newton_solve,
     residual_vector,
-    surface_residual,
 )
 from stokespressure.wave_model import (
     ConformalSolution,

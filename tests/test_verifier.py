@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from stokespressure import hodograph_fields
+from stokespressure.cli_io import save_report
 from stokespressure.verifier import (
     CheckResult,
     VerificationReport,
@@ -57,6 +61,44 @@ def test_report_covers_every_check_once(report_005):
     assert names == EXPECTED_CHECKS
     assert len(set(names)) == len(names)
 
+
+
+def test_verify_all_inverts_positions_in_array_calls(sol_005, monkeypatch):
+    # the finite-difference witnesses invert each stencil point of all their
+    # sample points in one call: 26 calls here, 1,740 point by point
+    calls = []
+    original = hodograph_fields.invert_position
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hodograph_fields, "invert_position", counting)
+    verify_all(sol_005, WaveConfig(mode_count=64))
+    assert 0 < len(calls) <= 32, len(calls)
+    assert max(calls) == 100
+
+
+def test_empty_sampling_sets_fail(sol_005, tmp_path):
+    # an excision disc that swallows every grid and witness point leaves
+    # these checks nothing to certify; none of them may pass vacuously
+    cfg = WaveConfig(mode_count=64, excision_radius=100.0,
+                     crest_indicator_threshold=0.99)
+    report = verify_all(sol_005, cfg)
+    empty = [c for c in report.checks if c.samples_checked == 0]
+    assert {c.name for c in empty} >= {
+        "pressure_x_crest_line", "pressure_x_trough_line",
+        "surface_f_nonpositive", "surface_f_decreasing", "f_line_values",
+        "surface_monotone", "surface_slope_bound", "hodograph_consistency",
+        "pressure_gradient_dual", "pressure_gradient_fd",
+        "pressure_superharmonic", "height_harmonic_fd", "f_harmonic_fd",
+        "pressure_x_negative", "pressure_y_negative"}
+    for c in empty:
+        assert not c.passed, c.name
+        assert math.isnan(c.worst_margin), c.name
+        assert c.note == "empty sampling set", c.name
+    save_report(report, tmp_path / "report.json")
+    assert "Infinity" not in (tmp_path / "report.json").read_text()
 
 def test_report_metadata(report_005, sol_005):
     assert report_005.steepness == pytest.approx(steepness(sol_005))

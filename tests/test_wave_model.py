@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stokespressure import oracles
+from stokespressure.spectral_solver import _pad_modes, newton_solve
 from stokespressure.wave_model import (
     ConformalJet,
     ConformalSolution,
@@ -17,6 +19,8 @@ from stokespressure.wave_model import (
     steepness,
     tail_ratio,
 )
+
+_JET_FIELDS = ("h", "h_q", "h_p", "h_qq", "h_qp", "h_pp", "x", "x_q", "x_p")
 
 
 def single_mode(a1=0.1, c=1.0, g=1.0, E=0.5):
@@ -165,6 +169,63 @@ def test_grid_matches_scalar_eval(sol_005):
             assert grid.x[i, j] == pytest.approx(jet.x, abs=1e-15)
             assert grid.h_qp[i, j] == pytest.approx(jet.h_qp, abs=1e-15)
 
+
+
+# --- scattered-point jet -----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sol_1024(sol_013):
+    # one Newton solve from the 512-mode s = 0.13 wave, padded to 1024 modes
+    return newton_solve(_pad_modes(sol_013, 1024), 0.135,
+                        WaveConfig(mode_count=1024))
+
+
+@pytest.mark.parametrize("wave", ["sol_013", "sol_1024"])
+def test_point_jet_matches_extended_precision_sums(wave, request):
+    # every mode counts on the surface row, where |z| = 1 and the running
+    # product z^k carries its rounding furthest
+    sol = request.getfixturevalue(wave)
+    assert sol.mode_count >= 512 and steepness(sol) > 0.129
+    rng = np.random.default_rng(17)
+    q = rng.uniform(-sol.period_q, sol.period_q, 240)
+    p = rng.uniform(-4.0 * sol.c, 0.0, 240)
+    p[:40] = 0.0
+    jet = eval_conformal_jet(sol, StripPoint(q, p))
+    refs = [oracles.naive_eval(sol, StripPoint(qi, pi)) for qi, pi in zip(q, p)]
+    for name in _JET_FIELDS:
+        fast = getattr(jet, name)
+        ref = np.array([getattr(r, name) for r in refs])
+        assert fast.shape == q.shape
+        # relative to the component's largest magnitude over the points
+        err = float(np.abs(fast - ref).max() / np.abs(ref).max())
+        assert err <= 1e-13, f"{name}: relative error {err:.2e}"
+
+
+def test_point_jet_shapes_blocks_and_one_point_case(sol_005):
+    # 600 points span three blocks; broadcasting q against p gives the grid
+    rng = np.random.default_rng(3)
+    q = rng.uniform(-6.0, 6.0, 600)
+    p = rng.uniform(-3.0, 0.0, 600)
+    jet = eval_conformal_jet(sol_005, StripPoint(q, p))
+    for i in (0, 255, 256, 599):
+        one = eval_conformal_jet(sol_005, StripPoint(q[i], p[i]))
+        for name in _JET_FIELDS:
+            assert getattr(jet, name)[i] == pytest.approx(
+                getattr(one, name), rel=1e-14, abs=1e-15)
+    qg = np.linspace(0.0, sol_005.period_q, 7)
+    pg = np.array([-1.5, -0.25, 0.0])
+    grid = eval_jet_grid(sol_005, qg, pg)
+    pts = eval_conformal_jet(sol_005, StripPoint(qg[None, :], pg[:, None]))
+    for name in ("h", "h_q", "h_p", "h_qq", "h_qp", "h_pp", "x"):
+        assert getattr(pts, name).shape == (3, 7)
+        np.testing.assert_allclose(getattr(pts, name), getattr(grid, name),
+                                   rtol=0, atol=1e-14)
+    assert eval_conformal_jet(
+        sol_005, StripPoint(np.empty(0), np.empty(0))).h.shape == (0,)
+    with pytest.raises(ValueError):
+        StripPoint(np.array([0.1, 0.2]), np.array([-0.5, 1e-9]))
+    assert isinstance(eval_conformal_jet(sol_005, StripPoint(0.4, -0.3)).h,
+                      float)
 
 @given(coeffs=coeff_lists, point=strip_points,
        c=st.floats(0.8, 1.3), E=st.floats(0.3, 0.8))
