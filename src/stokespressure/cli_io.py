@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -94,8 +95,33 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _null_to_nan(obj):
+    """The inverse of `_finite_or_null` for a document with no other null."""
+    if obj is None:
+        return math.nan
+    if isinstance(obj, dict):
+        return {k: _null_to_nan(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_null_to_nan(v) for v in obj]
+    return obj
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """Strict JSON: non-finite floats (the NaN margin of a check with no
+    sample) are written as null."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> WaveConfig:
@@ -183,7 +209,7 @@ def load_report(path: str | Path) -> VerificationReport:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliInputError(f"cannot read report {path}: {exc}") from exc
     try:
-        return VerificationReport.from_dict(doc)
+        return VerificationReport.from_dict(_null_to_nan(doc))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: malformed report file: {exc}") from exc
 

@@ -5,15 +5,20 @@ The free surface p = 0 must satisfy the Bernoulli condition
 `wave_model` and collocating at the N+1 angles theta_j = j pi / N turns this
 into N+1 polynomial equations in the unknowns (a_1..a_N, c, E); the system is
 closed by prescribing the steepness. The surface sums at the collocation
-angles come from one real FFT. Newton's method with an analytic Jacobian
-solves the system; a full step that cuts the residual tenfold freezes its LU
-factors, which later chord steps reuse while each still cuts the residual
-tenfold; chord and fresh steps alike count as Newton iterations. A
-continuation in steepness walks the family from the linear regime toward
-the limiting wave: each target is tried first from
-a secant-predicted guess, then from the previous member as a warm start; the
-step is halved on failed solves and the mode count doubled when the
-coefficient tail stops being resolved.
+angles come from one real FFT.
+
+The system is solved by inexact Newton. Each iteration solves J delta = -r
+by GMRES, with J.v taken matrix-free from the same FFTs and the LU factors
+of the last dense Jacobian as right preconditioner; the step is accepted
+once ||J delta + r||_2 <= 1e-3 ||r||_2. When no factors of the right order
+are held, or GMRES misses that forcing test within 20 iterations, the
+analytic Jacobian is built and factored at the current iterate and the step
+is the direct LU solve. A continuation in steepness walks the family from
+the linear regime toward the limiting wave, carrying the factors from
+member to member: each target is tried first from a secant-predicted guess,
+then from the previous member as a warm start; the step is halved on failed
+solves and the mode count doubled when the coefficient tail stops being
+resolved.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import (
+    LinAlgWarning,
+    get_lapack_funcs,
+    lu_factor,
+    lu_solve,
+    solve_triangular,
+)
 
 from .wave_model import (
     TAIL_DECAY_RATIO,
@@ -55,7 +66,8 @@ __all__ = [
 
 _RCOND_FLOOR = 1e-14
 _MAX_DAMPINGS = 8
-_CHORD_CONTRACTION = 0.1  # a full step this good freezes its factorization
+_FORCING = 1e-3  # a Krylov step must cut ||J delta + r||_2 by this factor
+_KRYLOV_MAX = 20  # GMRES iterations before the preconditioner is refreshed
 _JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
 
 
@@ -179,6 +191,77 @@ def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     return J
 
 
+def _jvp(sol: ConformalSolution, d: np.ndarray) -> np.ndarray:
+    """J d for the Jacobian of `residual_vector`, without forming J.
+
+    The surface sums are linear in the coefficients, so those of d_a are
+    dh, dA and dB, and dS = 2 A dA + 2 (1+B) dB.
+    """
+    n = sol.mode_count
+    c, E, g = sol.c, sol.E, sol.gravity
+    h, A, B, S = _surface_sums(sol.coeffs, n)
+    dh, dA, dB, _ = _surface_sums(d[:n], n)
+    excess = E - g * h
+    dS = 2.0 * A * dA + 2.0 * (1.0 + B) * dB
+    out = np.empty(n + 2)
+    out[: n + 1] = ((2.0 / c**2) * (-g * dh * S + excess * dS)
+                    - 4.0 * excess * S / c**3 * d[n]
+                    + 2.0 * S / c**2 * d[n + 1])
+    out[n + 1] = d[0:n:2].sum() / np.pi
+    return out
+
+
+def _gmres(sol: ConformalSolution, r: np.ndarray, lu_piv) -> np.ndarray | None:
+    """Newton step delta with ||J delta + r||_2 <= _FORCING ||r||_2, or None.
+
+    GMRES from delta = 0, right-preconditioned by the LU factors `lu_piv`
+    of a nearby Jacobian: at most _KRYLOV_MAX iterations, no restart. The
+    Arnoldi basis is orthogonalized by classical Gram-Schmidt, twice, and
+    the least-squares residual is tracked by Givens rotations.
+    """
+    beta = float(np.linalg.norm(r))
+    m = _KRYLOV_MAX
+    V = np.empty((m + 1, r.size))
+    R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+    rot = np.zeros((m, 2))  # (cos, sin) of each Givens rotation
+    g = np.zeros(m + 1)
+    g[0] = beta
+    np.divide(r, -beta, out=V[0])
+    for j in range(m):
+        w = _jvp(sol, lu_solve(lu_piv, V[j], check_finite=False))
+        col = R[: j + 1, j]
+        for _ in range(2):
+            hj = V[: j + 1] @ w
+            w -= hj @ V[: j + 1]
+            col += hj
+        h_next = float(np.linalg.norm(w))
+        if not np.isfinite(h_next):
+            return None
+        for i, (ci, si) in enumerate(rot[:j]):
+            col[i], col[i + 1] = (ci * col[i] + si * col[i + 1],
+                                  ci * col[i + 1] - si * col[i])
+        rho = float(np.hypot(col[j], h_next))
+        if rho == 0.0:
+            return None
+        rot[j] = col[j] / rho, h_next / rho
+        col[j] = rho
+        g[j + 1] = -rot[j, 1] * g[j]
+        g[j] *= rot[j, 0]
+        if abs(g[j + 1]) <= _FORCING * beta:
+            y = solve_triangular(R[: j + 1, : j + 1], g[: j + 1])
+            return lu_solve(lu_piv, y @ V[: j + 1], check_finite=False)
+        V[j + 1] = w / h_next
+    return None
+
+
+@dataclass
+class _Factors:
+    """Mutable holder of the LU factors that precondition Newton's GMRES;
+    a solve reads them and refreshes them in place."""
+
+    lu: tuple | None = None  # (lu, piv) of an (N+2)x(N+2) Jacobian
+
+
 def midpoint_residual(sol: ConformalSolution) -> float:
     """Largest Bernoulli defect halfway between collocation angles.
 
@@ -227,17 +310,23 @@ def newton_solve(
     cfg: WaveConfig,
     diagnostics: dict | None = None,
     tail_limit: float = TAIL_DECAY_RATIO,
+    *,
+    factors: _Factors | None = None,
 ) -> ConformalSolution:
     """Solve the collocated system at fixed steepness from a warm start.
 
-    Damped Newton iteration with the analytic Jacobian: a step is halved
-    (at most 8 times) until the max-norm residual decreases. A full step
-    that cuts the residual at least tenfold freezes its LU factorization:
-    the next iterations first try the undamped chord step with the frozen
-    factors, and keep it only while it too cuts the residual tenfold (or
-    reaches ``newton_tol``); otherwise the factors are dropped and a fresh
-    Jacobian is built at the same iterate. Chord and Newton steps both count
-    as iterations, toward ``newton_max_iter`` and in ``diagnostics``.
+    Damped inexact Newton: every iteration is one Newton step delta, halved
+    (at most 8 times) until the max-norm residual decreases, and counts
+    toward ``newton_max_iter`` and in ``diagnostics``. The step is first
+    sought by GMRES with J.v matrix-free, right-preconditioned by the LU
+    factors held in ``factors``; it is taken once ||J delta + r||_2 <= 1e-3
+    ||r||_2. If no factors of order N+2 are held, or GMRES misses that test
+    within 20 iterations, the held factors are dropped, the analytic
+    Jacobian is built and factored at the current iterate, the holder is
+    refreshed with those factors, and delta is the direct solve.
+    ``factors`` is a `_Factors` holder that a caller such as
+    `continue_family` passes to consecutive solves so that they share one
+    factorization; None gives a holder local to this call.
     Convergence is checked before the first step, so an exact guess (e.g.
     the flat stream at s_target = 0, where the Jacobian is singular) returns
     immediately.
@@ -249,6 +338,7 @@ def newton_solve(
     if not np.isfinite(s_target) or s_target < 0.0:
         raise ValueError("s_target must be finite and nonnegative")
     n = guess.mode_count
+    held = _Factors() if factors is None else factors
 
     def make(u: np.ndarray) -> ConformalSolution | None:
         if not np.all(np.isfinite(u)) or u[n] <= 0.0:
@@ -275,7 +365,6 @@ def newton_solve(
     r = residual_vector(sol, s_target)
     rmax = _linf(r)
     iters = 0
-    frozen = None  # LU factors of the last full step that contracted tenfold
     while rmax > cfg.newton_tol:
         if not np.isfinite(rmax):
             raise NonConvergence("residual became non-finite", iters, rmax)
@@ -283,31 +372,29 @@ def newton_solve(
             raise NonConvergence(
                 f"no convergence in {cfg.newton_max_iter} iterations "
                 f"(residual {rmax:.3e})", iters, rmax)
-        if frozen is not None:
-            step = trial(u + lu_solve(frozen, -r))
-            if step[3] <= max(_CHORD_CONTRACTION * rmax, cfg.newton_tol):
-                u, sol, r, rmax = step
-                iters += 1
-                continue
-            frozen = None
-        # Let the last factors go first: one N^2 array at a time, not two.
-        J = lu_piv = None
-        J = jacobian(sol, s_target)
-        # 1-norm for the condition estimator. It is non-finite exactly when
-        # an entry is, which spares LU its own finiteness scan; J is rebuilt
-        # for every fresh step, so LU may factor it in place.
-        (lange,) = get_lapack_funcs(("lange",), (J,))
-        anorm = float(lange("1", J))
-        if not np.isfinite(anorm):
-            raise SingularJacobian("Jacobian has non-finite entries")
-        # An exactly singular J only warns here; the rcond floor raises.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu_piv = lu_factor(J, overwrite_a=True, check_finite=False)
-        if _rcond(lu_piv[0], anorm) < _RCOND_FLOOR:
-            raise SingularJacobian(
-                f"Jacobian condition estimate below {_RCOND_FLOOR:g}")
-        delta = lu_solve(lu_piv, -r)
+        delta = None
+        if held.lu is not None and held.lu[0].shape[0] == n + 2:
+            delta = _gmres(sol, r, held.lu)
+        if delta is None:
+            # Let the held factors go first: one N^2 array at a time, not two.
+            held.lu = lu_piv = None
+            J = jacobian(sol, s_target)
+            # 1-norm for the condition estimator. It is non-finite exactly
+            # when an entry is, which spares LU its own finiteness scan; J is
+            # built for this factorization only, so LU may factor it in place.
+            (lange,) = get_lapack_funcs(("lange",), (J,))
+            anorm = float(lange("1", J))
+            if not np.isfinite(anorm):
+                raise SingularJacobian("Jacobian has non-finite entries")
+            # An exactly singular J only warns here; the rcond floor raises.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu_piv = lu_factor(J, overwrite_a=True, check_finite=False)
+            if _rcond(lu_piv[0], anorm) < _RCOND_FLOOR:
+                raise SingularJacobian(
+                    f"Jacobian condition estimate below {_RCOND_FLOOR:g}")
+            held.lu = lu_piv
+            delta = lu_solve(lu_piv, -r)
         lam = 1.0
         for _ in range(_MAX_DAMPINGS + 1):
             step = trial(u + lam * delta)
@@ -318,8 +405,6 @@ def newton_solve(
             raise NonConvergence(
                 f"damping exhausted at iteration {iters} (residual {rmax:.3e})",
                 iters, rmax)
-        if lam == 1.0 and step[3] <= _CHORD_CONTRACTION * rmax:
-            frozen = lu_piv
         u, sol, r, rmax = step
         iters += 1
     tail = tail_ratio(sol)
@@ -377,14 +462,14 @@ class _ModeCapTail(SolverError):
     """Internal: tail bound failed and the mode budget is spent."""
 
 
-def _solve_target(sol, target, cfg, max_modes, tail_limit, diag_out):
+def _solve_target(sol, target, cfg, max_modes, tail_limit, diag_out, factors):
     """Newton at one target from a warm start, doubling modes as needed."""
     guess = sol
     while True:
         diag = {}
         try:
             out = newton_solve(guess, target, cfg, diagnostics=diag,
-                               tail_limit=tail_limit)
+                               tail_limit=tail_limit, factors=factors)
             diag_out.update(diag)
             return out
         except TailNotResolved as exc:
@@ -414,10 +499,13 @@ def continue_family(
     meeting the decay bound. A secant-predicted guess is tried first; the
     plain warm start is retried only if it does not converge or meets a
     singular Jacobian, never after a tail rejection at the mode cap, which is
-    final for that target. Members are recorded at every accepted target;
-    the family ends either at s_stop or at the largest steepness achievable
-    within the budget, with the stop reason recorded. Solver errors propagate
-    only if not even the first member can be computed.
+    final for that target. All solves of the walk share one holder of LU
+    factors, the GMRES preconditioner of `newton_solve`, which each
+    refreshes only when it no longer serves. Members are recorded at every
+    accepted target; the family ends either at s_stop or at the largest
+    steepness achievable within the budget, with the stop reason recorded.
+    Solver errors propagate only if not even the first member can be
+    computed.
     """
     if not (0.0 < s_start <= s_stop):
         raise ValueError("need 0 < s_start <= s_stop")
@@ -426,8 +514,9 @@ def continue_family(
     t0 = time.monotonic()
     ramp0 = min(s_start, 0.02)
     diag: dict = {}
+    factors = _Factors()
     sol = _solve_target(initial_guess(ramp0, cfg), ramp0, cfg, max_modes,
-                        tail_limit, diag)
+                        tail_limit, diag, factors)
     s = ramp0
     members: list[FamilyMember] = []
 
@@ -486,12 +575,12 @@ def continue_family(
             if guess is not None:
                 try:
                     new_sol = _solve_target(guess, target, cfg, max_modes,
-                                            tail_limit, diag)
+                                            tail_limit, diag, factors)
                 except (NonConvergence, SingularJacobian):
                     diag = {}
             if new_sol is None:
                 new_sol = _solve_target(sol, target, cfg, max_modes,
-                                        tail_limit, diag)
+                                        tail_limit, diag, factors)
         except (NonConvergence, SingularJacobian, _ModeCapTail) as exc:
             last_failure = exc
             step *= 0.5

@@ -326,15 +326,24 @@ def verify_velocity_results(sol: ConformalSolution,
 
     v_interior = _strict_negative("velocity_v_positive", gf, -gf.v, interior,
                                   sol.c)
-    line_max = float(max(np.abs(gf.v[:, 0]).max(), np.abs(gf.v[:, -1]).max()))
-    v_pass = v_interior.passed and line_max <= 1e-12 * sol.c
-    v_check = CheckResult(
-        "velocity_v_positive", v_pass,
-        -v_interior.worst_margin if np.isfinite(v_interior.worst_margin) else math.nan,
-        v_interior.worst_location, v_interior.samples_checked + 2 * gf.p.size,
-        v_interior.samples_excluded, 1e-12 * sol.c,
-        note=(v_interior.note + ("; " if v_interior.note else "")
-              + f"margin is min v off the lines; max |v| on lines = {line_max:.3e}"))
+    lines = ~interior
+    line_v = np.abs(gf.v[lines & ~gf.excluded])
+    n_checked = v_interior.samples_checked + line_v.size
+    n_excl = v_interior.samples_excluded + int((lines & gf.excluded).sum())
+    if n_checked == 0:
+        v_check = _empty_set("velocity_v_positive", n_excl, 1e-12 * sol.c)
+    else:
+        # With no line sample left, line_max is NaN and the check fails.
+        line_max = float(line_v.max()) if line_v.size else math.nan
+        v_pass = v_interior.passed and line_max <= 1e-12 * sol.c
+        v_check = CheckResult(
+            "velocity_v_positive", v_pass,
+            -v_interior.worst_margin if np.isfinite(v_interior.worst_margin)
+            else math.nan,
+            v_interior.worst_location, n_checked, n_excl, 1e-12 * sol.c,
+            note=(v_interior.note + ("; " if v_interior.note else "")
+                  + "margin is min v off the lines; "
+                  + f"max |v| on lines = {line_max:.3e}"))
 
     return [
         v_check,

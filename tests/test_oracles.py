@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stokespressure import oracles
+from stokespressure import oracles, spectral_solver
 from stokespressure.hodograph_fields import pressure
 from stokespressure.spectral_solver import newton_solve, residual_vector
 from stokespressure.wave_model import (
@@ -184,3 +184,19 @@ def test_limit_bracket_small_budget():
     est = estimate_limit(cfg, max_modes=256)
     assert lo <= est.s_max <= hi, \
         f"continuation limit {est.s_max} outside bracket [{lo}, {hi}]"
+
+
+def test_limit_bracket_jacobian_budget(monkeypatch):
+    # Counts, not timings: each walk and probe solve factors one Jacobian
+    # and takes its later steps by GMRES preconditioned with it.
+    jacs = []
+    real = spectral_solver.jacobian
+
+    def counted(sol, s_target):
+        jacs.append(sol.mode_count)
+        return real(sol, s_target)
+
+    monkeypatch.setattr(spectral_solver, "jacobian", counted)
+    assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
+        0.135, 0.13687500000000002)
+    assert len(jacs) <= 100

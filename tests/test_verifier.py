@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stokespressure import hodograph_fields
-from stokespressure.cli_io import save_report
+from stokespressure.cli_io import load_report, save_report
 from stokespressure.verifier import (
     CheckResult,
     VerificationReport,
@@ -98,7 +99,27 @@ def test_empty_sampling_sets_fail(sol_005, tmp_path):
         assert math.isnan(c.worst_margin), c.name
         assert c.note == "empty sampling set", c.name
     save_report(report, tmp_path / "report.json")
-    assert "Infinity" not in (tmp_path / "report.json").read_text()
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    back = load_report(tmp_path / "report.json")
+    for c in empty:
+        assert math.isnan(back.check(c.name).worst_margin), c.name
+
+
+def test_velocity_lines_skip_excluded_points(sol_005):
+    # the crest and trough line samples obey the exclusion mask like every
+    # other sample: with all of them excluded nothing is left to check
+    cfg = WaveConfig(mode_count=64, excision_radius=100.0,
+                     crest_indicator_threshold=0.99)
+    check = verify_all(sol_005, cfg).check("velocity_v_positive")
+    assert check.samples_checked == 0
+    assert check.samples_excluded == cfg.grid_nq * cfg.grid_np
+    assert not check.passed
+    assert math.isnan(check.worst_margin)
+    assert check.note == "empty sampling set"
 
 def test_report_metadata(report_005, sol_005):
     assert report_005.steepness == pytest.approx(steepness(sol_005))
