@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 verification failed, 2 invalid input or
 configuration, 3 solver failure (diagnostics are still written).
 
 All artifacts are JSON or CSV written atomically (temp file + rename) with
-deterministic content: dictionary keys are sorted and floats use repr, the
-shortest digit string that round-trips exactly (17 significant digits at
-most), so identical runs produce byte-identical files. Every run also writes
-a manifest (tool version, configuration snapshot, input hashes, outputs,
-wall-clock timestamps); the manifest is written last, and its timestamps are
-the one intentionally non-reproducible artifact.
+deterministic content, so identical runs produce byte-identical files.
+Dictionary keys are sorted. JSON floats use repr, the shortest digit string
+that round-trips exactly. CSV floats (`fields.csv`, `summary.csv`) use
+%.17g: 17 significant digits with trailing zeros dropped, so 0.1 is written
+0.10000000000000001; that round-trips too, but is not the shortest string.
+Every run also writes a manifest (tool version, configuration snapshot,
+input hashes, outputs, wall-clock timestamps); the manifest is written last,
+and its timestamps are the one intentionally non-reproducible artifact.
 
 Output directory resolution: --out flag, else the STOKESPRESSURE_OUT
 environment variable, else the working directory.
@@ -289,13 +291,16 @@ def _overrides_from(args) -> dict:
 def _solve_to(s_target: float, cfg: WaveConfig, max_modes: int) -> tuple[ConformalSolution, dict]:
     if s_target < 0.0:
         raise CliInputError("steepness must be nonnegative")
-    diag: dict = {}
-    if s_target <= 0.02:
-        sol = newton_solve(initial_guess(s_target, cfg), s_target, cfg,
-                           diagnostics=diag)
+    if s_target == 0.0:
+        diag: dict = {}
+        sol = newton_solve(initial_guess(0.0, cfg), 0.0, cfg, diagnostics=diag)
         return sol, diag
+    # Every positive target goes through the continuation, which doubles N
+    # up to the cap while the tail is unresolved; up to s = 0.02 it is one
+    # solve from the linear guess. A cap below the starting N allows no
+    # doubling.
     fam = continue_family(min(0.02, s_target), s_target, cfg,
-                          max_modes=max_modes)
+                          max_modes=max(max_modes, cfg.mode_count))
     last = fam.members[-1]
     if fam.stop_reason != "reached_stop" or \
             abs(last.steepness - s_target) > 1e-10:

@@ -8,17 +8,17 @@ closed by prescribing the steepness. The surface sums at the collocation
 angles come from one real FFT.
 
 The system is solved by inexact Newton. Each iteration solves J delta = -r
-by GMRES, with J.v taken matrix-free from the same FFTs and the LU factors
-of the last dense Jacobian as right preconditioner; the step is accepted
-once ||J delta + r||_2 <= 1e-3 ||r||_2. When no factors of the right order
-are held, or GMRES misses that forcing test within 20 iterations, the
-analytic Jacobian is built and factored at the current iterate and the step
-is the direct LU solve. A continuation in steepness walks the family from
-the linear regime toward the limiting wave, carrying the factors from
-member to member: each target is tried first from a secant-predicted guess,
-then from the previous member as a warm start; the step is halved on failed
-solves and the mode count doubled when the coefficient tail stops being
-resolved.
+by flexible GMRES, with J.v taken matrix-free from the same FFTs and a
+single-precision copy of the LU factors of the last dense Jacobian as right
+preconditioner; the step is accepted once ||J delta + r||_2 <= 1e-3
+||r||_2. When no factors of the right order are held, or GMRES misses that
+forcing test within 20 iterations, the analytic Jacobian is built and
+factored at the current iterate and the step is the direct LU solve in
+double precision. A continuation in steepness walks the family from the
+linear regime toward the limiting wave, carrying the factors from member to
+member: each target is tried first from a secant-predicted guess, then from
+the previous member as a warm start; the step is halved on failed solves
+and the mode count doubled when the coefficient tail stops being resolved.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import (
@@ -99,20 +98,9 @@ class TailNotResolved(SolverError):
         self.solution = solution
 
 
-@lru_cache(maxsize=8)
-def _collocation_cache(n: int):
-    theta = np.linspace(0.0, np.pi, n + 1)
-    k = np.arange(1.0, n + 1.0)
-    ck = np.cos(np.outer(theta, k))
-    sk = np.sin(np.outer(theta, k))
-    for arr in (theta, k, ck, sk):
-        arr.setflags(write=False)
-    return theta, k, ck, sk
-
-
 def collocation_angles(n: int) -> np.ndarray:
     """The N+1 surface angles theta_j = j pi / N, crest to trough."""
-    return _collocation_cache(n)[0].copy()
+    return np.linspace(0.0, np.pi, n + 1)
 
 
 def _surface_sums(a: np.ndarray, m: int):
@@ -155,33 +143,37 @@ def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     Fortran-ordered, so LAPACK factors it without a copy.
     """
     n = sol.mode_count
-    _, k, ck, sk = _collocation_cache(n)
+    theta, k = collocation_angles(n), np.arange(1.0, n + 1.0)
     a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
     h, A, B, S = _surface_sums(a, n)
     J = np.zeros((n + 2, n + 2), order="F")
     excess = E - g * h
     # d/da_k: product rule through h and through S,
     #   w_h ck + w_S (2A (sk k) + 2(1+B) (ck k))  row by row,
-    # assembled a block of rows at a time in two small scratch buffers rather
-    # than in full-size temporaries. Every element sees the same operations
-    # in the same order as that broadcast formula, so J is bit-identical to it.
+    # with ck = cos(theta_j k) and sk = sin(theta_j k), assembled a block of
+    # rows at a time in small scratch buffers rather than in full-size
+    # temporaries or tables kept between calls. Every element sees the same
+    # operations in the same order as that broadcast formula, so J is
+    # bit-identical to it.
     w_h = (-2.0 * g * S / c**2)[:, None]
     w_S = (2.0 * excess / c**2)[:, None]
     two_a = (2.0 * A)[:, None]
     two_b = (2.0 * (1.0 + B))[:, None]
     rows = min(_JAC_BLOCK_ROWS, n + 1)
-    scratch_s, scratch_c = np.empty((rows, n)), np.empty((rows, n))
+    scratch = np.empty((4, rows, n))
     for r0 in range(0, n + 1, rows):
         blk = slice(r0, min(r0 + rows, n + 1))
-        t_s = scratch_s[: blk.stop - r0]
-        t_c = scratch_c[: blk.stop - r0]
-        np.multiply(sk[blk], k, out=t_s)
+        ck, sk, t_s, t_c = scratch[:, : blk.stop - r0]
+        np.multiply.outer(theta[blk], k, out=t_c)
+        np.cos(t_c, out=ck)
+        np.sin(t_c, out=sk)
+        np.multiply(sk, k, out=t_s)
         np.multiply(two_a[blk], t_s, out=t_s)
-        np.multiply(ck[blk], k, out=t_c)
+        np.multiply(ck, k, out=t_c)
         np.multiply(two_b[blk], t_c, out=t_c)
         np.add(t_s, t_c, out=t_s)
         np.multiply(w_S[blk], t_s, out=t_s)
-        np.multiply(w_h[blk], ck[blk], out=t_c)
+        np.multiply(w_h[blk], ck, out=t_c)
         np.add(t_c, t_s, out=t_c)
         J[blk, :n] = t_c
     J[: n + 1, n] = -4.0 * excess * S / c**3
@@ -191,44 +183,62 @@ def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     return J
 
 
-def _jvp(sol: ConformalSolution, d: np.ndarray) -> np.ndarray:
-    """J d for the Jacobian of `residual_vector`, without forming J.
+def _jvp_operator(sol: ConformalSolution):
+    """d -> J d for the Jacobian of `residual_vector` at sol, without
+    forming J.
 
     The surface sums are linear in the coefficients, so those of d_a are
-    dh, dA and dB, and dS = 2 A dA + 2 (1+B) dB.
+    dh, dA and dB, and dS = 2 A dA + 2 (1+B) dB. The weights that depend on
+    sol alone are taken once here, for all the products of a GMRES solve.
     """
     n = sol.mode_count
     c, E, g = sol.c, sol.E, sol.gravity
     h, A, B, S = _surface_sums(sol.coeffs, n)
-    dh, dA, dB, _ = _surface_sums(d[:n], n)
     excess = E - g * h
-    dS = 2.0 * A * dA + 2.0 * (1.0 + B) * dB
-    out = np.empty(n + 2)
-    out[: n + 1] = ((2.0 / c**2) * (-g * dh * S + excess * dS)
-                    - 4.0 * excess * S / c**3 * d[n]
-                    + 2.0 * S / c**2 * d[n + 1])
-    out[n + 1] = d[0:n:2].sum() / np.pi
-    return out
+    w_h = -2.0 * g / c**2 * S
+    w_A = 4.0 / c**2 * excess * A
+    w_B = 4.0 / c**2 * excess * (1.0 + B)
+    w_c = -4.0 / c**3 * excess * S
+    w_E = 2.0 / c**2 * S
+
+    def jv(d: np.ndarray) -> np.ndarray:
+        dh, dA, dB, _ = _surface_sums(d[:n], n)
+        out = np.empty(n + 2)
+        out[: n + 1] = (w_h * dh + w_A * dA + w_B * dB
+                        + w_c * d[n] + w_E * d[n + 1])
+        out[n + 1] = d[0:n:2].sum() / np.pi
+        return out
+
+    return jv
 
 
 def _gmres(sol: ConformalSolution, r: np.ndarray, lu_piv) -> np.ndarray | None:
     """Newton step delta with ||J delta + r||_2 <= _FORCING ||r||_2, or None.
 
-    GMRES from delta = 0, right-preconditioned by the LU factors `lu_piv`
-    of a nearby Jacobian: at most _KRYLOV_MAX iterations, no restart. The
-    Arnoldi basis is orthogonalized by classical Gram-Schmidt, twice, and
-    the least-squares residual is tracked by Givens rotations.
+    Flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993) from delta = 0,
+    right-preconditioned by the LU factors `lu_piv` of a nearby Jacobian, in
+    the precision they are held in: at most _KRYLOV_MAX iterations, no
+    restart. The preconditioned directions z_j = M^-1 v_j are kept and
+    delta = Z y, so the forcing test holds for the returned step although a
+    single-precision M is not exactly linear, and no final solve with M is
+    needed. The Arnoldi basis is orthogonalized by classical Gram-Schmidt,
+    twice, and the least-squares residual is tracked by Givens rotations.
     """
+    lu, piv = lu_piv
+    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+    jv = _jvp_operator(sol)
     beta = float(np.linalg.norm(r))
     m = _KRYLOV_MAX
     V = np.empty((m + 1, r.size))
+    Z = np.empty((m, r.size))
     R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
     rot = np.zeros((m, 2))  # (cos, sin) of each Givens rotation
     g = np.zeros(m + 1)
     g[0] = beta
     np.divide(r, -beta, out=V[0])
     for j in range(m):
-        w = _jvp(sol, lu_solve(lu_piv, V[j], check_finite=False))
+        Z[j], _ = getrs(lu, piv, V[j].astype(lu.dtype), overwrite_b=True)
+        w = jv(Z[j])
         col = R[: j + 1, j]
         for _ in range(2):
             hj = V[: j + 1] @ w
@@ -249,7 +259,7 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, lu_piv) -> np.ndarray | None:
         g[j] *= rot[j, 0]
         if abs(g[j + 1]) <= _FORCING * beta:
             y = solve_triangular(R[: j + 1, : j + 1], g[: j + 1])
-            return lu_solve(lu_piv, y @ V[: j + 1], check_finite=False)
+            return y @ Z[: j + 1]
         V[j + 1] = w / h_next
     return None
 
@@ -259,7 +269,7 @@ class _Factors:
     """Mutable holder of the LU factors that precondition Newton's GMRES;
     a solve reads them and refreshes them in place."""
 
-    lu: tuple | None = None  # (lu, piv) of an (N+2)x(N+2) Jacobian
+    lu: tuple | None = None  # (lu, piv) of an (N+2)x(N+2) Jacobian, lu float32
 
 
 def midpoint_residual(sol: ConformalSolution) -> float:
@@ -304,6 +314,36 @@ def _rcond(lu: np.ndarray, anorm: float) -> float:
     return float(rcond)
 
 
+def _direct_step(sol: ConformalSolution, s_target: float, r: np.ndarray,
+                 held: _Factors) -> np.ndarray:
+    """The Newton step -J^-1 r with J built and LU factored at sol.
+
+    Raises SingularJacobian if J has a non-finite entry or its condition
+    estimate falls below the floor. Otherwise ``held`` is refreshed with a
+    single-precision copy of the factors: GMRES needs the preconditioner to
+    a few digits only, and each of its iterations then streams half the
+    bytes. The double-precision factors die with this call.
+    """
+    J = jacobian(sol, s_target)
+    # 1-norm for the condition estimator. It is non-finite exactly when an
+    # entry is, which spares LU its own finiteness scan; J is built for this
+    # factorization only, so LU may factor it in place.
+    (lange,) = get_lapack_funcs(("lange",), (J,))
+    anorm = float(lange("1", J))
+    if not np.isfinite(anorm):
+        raise SingularJacobian("Jacobian has non-finite entries")
+    # An exactly singular J only warns here; the rcond floor raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(J, overwrite_a=True, check_finite=False)
+    if _rcond(lu, anorm) < _RCOND_FLOOR:
+        raise SingularJacobian(
+            f"Jacobian condition estimate below {_RCOND_FLOOR:g}")
+    delta = lu_solve((lu, piv), -r)
+    held.lu = lu.astype(np.float32), piv
+    return delta
+
+
 def newton_solve(
     guess: ConformalSolution,
     s_target: float,
@@ -318,12 +358,13 @@ def newton_solve(
     Damped inexact Newton: every iteration is one Newton step delta, halved
     (at most 8 times) until the max-norm residual decreases, and counts
     toward ``newton_max_iter`` and in ``diagnostics``. The step is first
-    sought by GMRES with J.v matrix-free, right-preconditioned by the LU
-    factors held in ``factors``; it is taken once ||J delta + r||_2 <= 1e-3
-    ||r||_2. If no factors of order N+2 are held, or GMRES misses that test
-    within 20 iterations, the held factors are dropped, the analytic
-    Jacobian is built and factored at the current iterate, the holder is
-    refreshed with those factors, and delta is the direct solve.
+    sought by flexible GMRES with J.v matrix-free, right-preconditioned by
+    the LU factors held in ``factors``; it is taken once ||J delta + r||_2
+    <= 1e-3 ||r||_2. If no factors of order N+2 are held, or GMRES misses
+    that test within 20 iterations, the held factors are dropped, the
+    analytic Jacobian is built and factored at the current iterate, delta is
+    the direct solve with those factors, and the holder is refreshed with a
+    single-precision copy of them.
     ``factors`` is a `_Factors` holder that a caller such as
     `continue_family` passes to consecutive solves so that they share one
     factorization; None gives a holder local to this call.
@@ -377,24 +418,8 @@ def newton_solve(
             delta = _gmres(sol, r, held.lu)
         if delta is None:
             # Let the held factors go first: one N^2 array at a time, not two.
-            held.lu = lu_piv = None
-            J = jacobian(sol, s_target)
-            # 1-norm for the condition estimator. It is non-finite exactly
-            # when an entry is, which spares LU its own finiteness scan; J is
-            # built for this factorization only, so LU may factor it in place.
-            (lange,) = get_lapack_funcs(("lange",), (J,))
-            anorm = float(lange("1", J))
-            if not np.isfinite(anorm):
-                raise SingularJacobian("Jacobian has non-finite entries")
-            # An exactly singular J only warns here; the rcond floor raises.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu_piv = lu_factor(J, overwrite_a=True, check_finite=False)
-            if _rcond(lu_piv[0], anorm) < _RCOND_FLOOR:
-                raise SingularJacobian(
-                    f"Jacobian condition estimate below {_RCOND_FLOOR:g}")
-            held.lu = lu_piv
-            delta = lu_solve(lu_piv, -r)
+            held.lu = None
+            delta = _direct_step(sol, s_target, r, held)
         lam = 1.0
         for _ in range(_MAX_DAMPINGS + 1):
             step = trial(u + lam * delta)

@@ -15,6 +15,7 @@ from stokespressure.cli_io import (
     write_fields_csv,
 )
 from stokespressure.hodograph_fields import grid_fields, physical_grid
+from stokespressure.spectral_solver import initial_guess, newton_solve
 from stokespressure.wave_model import WaveConfig, steepness
 
 
@@ -163,6 +164,34 @@ def test_solve_is_deterministic(tmp_path):
         assert run("solve", "--steepness", 0.03, "--modes", 32,
                    "--out", out) == 0
     assert (a / "solution.json").read_bytes() == (b / "solution.json").read_bytes()
+
+
+def test_solve_doubles_modes_at_small_steepness(tmp_path):
+    # --max-modes holds on both sides of s = 0.02: four modes cannot resolve
+    # either wave, so both solves double N within the cap.
+    for s in (0.02, 0.0201):
+        out = tmp_path / str(s)
+        assert run("solve", "--steepness", s, "--modes", 4,
+                   "--max-modes", 64, "--out", out) == 0
+        sol = load_solution(out / "solution.json")
+        assert steepness(sol) == pytest.approx(s, abs=1e-12)
+        assert 4 < sol.mode_count <= 64
+
+
+@pytest.mark.parametrize("s", [0.0, 0.001, 0.015, 0.02])
+def test_solve_up_to_002_is_one_solve_from_the_linear_guess(tmp_path, s):
+    # A wave the starting N resolves keeps the bytes of a plain Newton solve
+    # from the linear guess, diagnostics included, even under a cap below
+    # that N.
+    cfg = WaveConfig(mode_count=32)
+    diag = {}
+    sol = newton_solve(initial_guess(s, cfg), s, cfg, diagnostics=diag)
+    save_solution(sol, tmp_path / "direct.json", diagnostics=diag)
+    out = tmp_path / "cli"
+    assert run("solve", "--steepness", s, "--modes", 32, "--max-modes", 16,
+               "--out", out) == 0
+    assert ((out / "solution.json").read_bytes()
+            == (tmp_path / "direct.json").read_bytes())
 
 
 def test_fields_json_format(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -404,14 +406,14 @@ def test_jvp_matches_dense_jacobian(family_n256, sol_010):
     for m, d in _secant_directions(family_n256.members,
                                    initial_guess(0.01, cfg)):
         Jd = jacobian(m.solution, m.steepness) @ d
-        err = np.abs(spectral_solver._jvp(m.solution, d) - Jd).max()
+        err = np.abs(spectral_solver._jvp_operator(m.solution)(d) - Jd).max()
         assert err <= 1e-13 * np.abs(Jd).max(), m.steepness
     wide = newton_solve(_pad_modes(sol_010, 2048), 0.10,
                         WaveConfig(mode_count=2048))
     d = unknowns(wide) - unknowns(_pad_modes(family_n256.members[-2].solution,
                                              2048))
     Jd = jacobian(wide, 0.10) @ d
-    err = np.abs(spectral_solver._jvp(wide, d) - Jd).max()
+    err = np.abs(spectral_solver._jvp_operator(wide)(d) - Jd).max()
     assert err <= 1e-13 * np.abs(Jd).max()
 
 
@@ -454,6 +456,74 @@ def test_stale_factors_refresh_once(monkeypatch, family_n256, sol_013,
         assert np.abs(sol.coeffs - fresh.coeffs).max() <= 1e-12
         assert abs(sol.c - fresh.c) <= 1e-12 and abs(sol.E - fresh.E) <= 1e-12
         monkeypatch.undo()
+
+
+def test_preconditioner_applied_once_per_product(monkeypatch):
+    # Counts, not timings. Flexible GMRES keeps z_j = M^-1 v_j and returns
+    # Z y, so M is applied once per J.v product and never once more per
+    # linear solve; M is the float32 copy of LU factors of order N+2.
+    applies, products, held = [], [], []
+    real_lookup = spectral_solver.get_lapack_funcs
+    real_operator = spectral_solver._jvp_operator
+    real_gmres = spectral_solver._gmres
+
+    def lookup(names, arrays=()):
+        funcs = real_lookup(names, arrays)
+        if names != ("getrs",):
+            return funcs
+        (getrs,) = funcs
+
+        def counted(*args, **kwargs):
+            applies.append(getrs.typecode)
+            return getrs(*args, **kwargs)
+
+        return (counted,)
+
+    def operator(sol):
+        jv = real_operator(sol)
+
+        def counted(d):
+            products.append(sol.mode_count)
+            return jv(d)
+
+        return counted
+
+    def gmres(sol, r, lu_piv):
+        held.append((lu_piv[0].dtype.name, lu_piv[0].shape,
+                     sol.mode_count + 2))
+        return real_gmres(sol, r, lu_piv)
+
+    monkeypatch.setattr(spectral_solver, "get_lapack_funcs", lookup)
+    monkeypatch.setattr(spectral_solver, "_jvp_operator", operator)
+    monkeypatch.setattr(spectral_solver, "_gmres", gmres)
+    continue_family(0.01, 0.10, WaveConfig(mode_count=256))
+    assert len(held) > 20
+    assert set(held) == {("float32", (258, 258), 258)}
+    assert len(applies) == len(products) > len(held)
+    assert set(applies) == {"s"}
+
+
+def test_no_quadratic_state_outlives_its_results(sol_005):
+    # A 1024-mode Jacobian and a 512-mode continuation leave nothing of
+    # size N^2 alive in the module once their results are dropped: no trig
+    # tables, no LU factors. The bound is a tenth of the smallest such
+    # array, the float32 factors of order 514.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        J = jacobian(_pad_modes(sol_005, 1024), 0.05)
+        assert tracemalloc.get_traced_memory()[0] - base >= J.nbytes
+        del J
+        fam = continue_family(0.01, 0.05, WaveConfig(mode_count=512),
+                              max_modes=512)
+        assert fam.last.solution.mode_count == 512
+        del fam
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert left < 514**2 * 4 // 10
 
 
 def test_dense_newton_agrees_with_krylov_steps(family_n256, monkeypatch):
