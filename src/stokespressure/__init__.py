@@ -5,7 +5,6 @@ from .wave_model import (
     ConformalJet,
     ConformalSolution,
     InvalidConfig,
-    JetGrid,
     StripPoint,
     WaveConfig,
     crest_indicator,

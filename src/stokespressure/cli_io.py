@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 verification failed, 2 invalid input or
 configuration, 3 solver failure (diagnostics are still written).
 
 All artifacts are JSON or CSV written atomically (temp file + rename) with
-deterministic content, so identical runs produce byte-identical files.
+deterministic content, so identical runs at the same OpenBLAS thread count
+produce byte-identical files. BLAS can round differently at another thread
+count: `solve --steepness 0.01 --modes 4096` writes a different
+`solution.json` with 1 and with 2 threads.
 Dictionary keys are sorted. JSON floats use repr, the shortest digit string
 that round-trips exactly. CSV floats (`fields.csv`, `summary.csv`) use
 %.17g: 17 significant digits with trailing zeros dropped, so 0.1 is written
@@ -312,6 +315,12 @@ def _solve_to(s_target: float, cfg: WaveConfig, max_modes: int) -> tuple[Conform
                            "tail_ratio": last.tail_ratio}
 
 
+def _check_mode_cap(cfg: WaveConfig, max_modes: int) -> None:
+    if cfg.mode_count > max_modes:
+        raise CliInputError(f"mode_count {cfg.mode_count} exceeds "
+                            f"--max-modes {max_modes}")
+
+
 def _cmd_solve(args) -> int:
     started = time.time()
     cfg = load_config(args.config, _overrides_from(args))
@@ -342,6 +351,11 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     started = time.time()
     cfg = load_config(args.config, _overrides_from(args))
+    _check_mode_cap(cfg, args.max_modes)
+    if not 0.0 < args.s_start <= args.s_stop:
+        raise CliInputError("need 0 < --s-start <= --s-stop")
+    if not args.s_step > 0.0:
+        raise CliInputError("--s-step must be positive")
     outdir = _out_dir(args)
     inputs = [args.config] if args.config else []
     try:
@@ -418,6 +432,7 @@ def _cmd_fields(args) -> int:
 def _cmd_limit(args) -> int:
     started = time.time()
     cfg = load_config(args.config, _overrides_from(args))
+    _check_mode_cap(cfg, args.max_modes)
     outdir = _out_dir(args)
     est = estimate_limit(cfg, max_modes=args.max_modes,
                          time_budget=args.time_budget)

@@ -95,8 +95,7 @@ def _exclusion_mask(sol, q, p, cfg):
 
 
 def _fields(jet, sol: ConformalSolution) -> dict:
-    """Every field derived from a jet (`ConformalJet` or `JetGrid`), at one
-    point or many alike.
+    """Every field derived from a `ConformalJet`, at one point or many alike.
 
     Returns x, y, D, u, v, P, f, f_q, the strip derivatives u_q .. v_p of the
     velocity, its physical derivatives u_x .. v_y, both P_x routes (P_x,
@@ -298,8 +297,8 @@ def _field_grid(sol, jet, q, p, cfg: WaveConfig) -> FieldGrid:
 def grid_fields(sol: ConformalSolution, q: np.ndarray, p: np.ndarray,
                 cfg: WaveConfig | None = None) -> FieldGrid:
     """Evaluate all fields on the tensor grid q x p (vectorized fast path)."""
-    jets = eval_jet_grid(sol, np.asarray(q, float), np.asarray(p, float))
-    return _field_grid(sol, jets, jets.q, jets.p, cfg or _DEFAULT)
+    q, p = np.asarray(q, float), np.asarray(p, float)
+    return _field_grid(sol, eval_jet_grid(sol, q, p), q, p, cfg or _DEFAULT)
 
 
 def _records(gf: FieldGrid) -> np.recarray:

@@ -68,6 +68,8 @@ _MAX_DAMPINGS = 8
 _FORCING = 1e-3  # a Krylov step must cut ||J delta + r||_2 by this factor
 _KRYLOV_MAX = 20  # GMRES iterations before the preconditioner is refreshed
 _JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
+_MIN_STEP = 1e-5  # continuation step floor
+_S_CEILING = 0.2  # `estimate_limit` target, above any attainable steepness
 
 
 class SolverError(RuntimeError):
@@ -483,24 +485,21 @@ class ContinuationFamily:
         return self.members[-1]
 
 
-class _ModeCapTail(SolverError):
-    """Internal: tail bound failed and the mode budget is spent."""
-
-
-def _solve_target(sol, target, cfg, max_modes, tail_limit, diag_out, factors):
-    """Newton at one target from a warm start, doubling modes as needed."""
+def _solve_target(sol, target, cfg, max_modes, diag_out, factors):
+    """Newton at one target from a warm start, doubling modes as needed;
+    TailNotResolved once doubling would pass ``max_modes``."""
     guess = sol
     while True:
         diag = {}
         try:
             out = newton_solve(guess, target, cfg, diagnostics=diag,
-                               tail_limit=tail_limit, factors=factors)
+                               factors=factors)
             diag_out.update(diag)
             return out
         except TailNotResolved as exc:
             n2 = 2 * guess.mode_count
             if n2 > max_modes:
-                raise _ModeCapTail(str(exc)) from exc
+                raise
             # Reuse the converged low-resolution solution as the warm start.
             guess = _pad_modes(exc.solution, n2)
 
@@ -511,20 +510,18 @@ def continue_family(
     cfg: WaveConfig,
     *,
     initial_step: float = 0.01,
-    min_step: float = 1e-5,
     max_modes: int = 2048,
-    tail_limit: float = TAIL_DECAY_RATIO,
     time_budget: float | None = None,
 ) -> ContinuationFamily:
     """Walk the family from s_start to s_stop with adaptive steps.
 
-    Warm-started Newton continuation in steepness: the step is halved on a
-    failed solve (floor ``min_step``) and the mode count is doubled, up to
-    ``max_modes``, whenever the coefficient tail of a converged solve stops
-    meeting the decay bound. A secant-predicted guess is tried first; the
-    plain warm start is retried only if it does not converge or meets a
-    singular Jacobian, never after a tail rejection at the mode cap, which is
-    final for that target. All solves of the walk share one holder of LU
+    Warm-started Newton continuation in steepness: the step, at first
+    ``initial_step`` (> 0), is halved on a failed solve (floor 1e-5) and
+    the mode count is doubled, up to ``max_modes``, whenever the coefficient
+    tail of a converged solve stops meeting the decay bound. A
+    secant-predicted guess is tried first; the plain warm start is retried
+    only if it does not converge or meets a singular Jacobian, never after a
+    tail rejection at the mode cap, which is final for that target. All solves of the walk share one holder of LU
     factors, the GMRES preconditioner of `newton_solve`, which each
     refreshes only when it no longer serves. Members are recorded at every
     accepted target; the family ends either at s_stop or at the largest
@@ -534,6 +531,8 @@ def continue_family(
     """
     if not (0.0 < s_start <= s_stop):
         raise ValueError("need 0 < s_start <= s_stop")
+    if not initial_step > 0.0:
+        raise ValueError("need initial_step > 0")
     if cfg.mode_count > max_modes:
         raise ValueError("cfg.mode_count exceeds max_modes")
     t0 = time.monotonic()
@@ -541,7 +540,7 @@ def continue_family(
     diag: dict = {}
     factors = _Factors()
     sol = _solve_target(initial_guess(ramp0, cfg), ramp0, cfg, max_modes,
-                        tail_limit, diag, factors)
+                        diag, factors)
     s = ramp0
     members: list[FamilyMember] = []
 
@@ -600,17 +599,17 @@ def continue_family(
             if guess is not None:
                 try:
                     new_sol = _solve_target(guess, target, cfg, max_modes,
-                                            tail_limit, diag, factors)
+                                            diag, factors)
                 except (NonConvergence, SingularJacobian):
                     diag = {}
             if new_sol is None:
                 new_sol = _solve_target(sol, target, cfg, max_modes,
-                                        tail_limit, diag, factors)
-        except (NonConvergence, SingularJacobian, _ModeCapTail) as exc:
+                                        diag, factors)
+        except (NonConvergence, SingularJacobian, TailNotResolved) as exc:
             last_failure = exc
             step *= 0.5
-            if step < min_step:
-                stop_reason = ("mode_cap" if isinstance(exc, _ModeCapTail)
+            if step < _MIN_STEP:
+                stop_reason = ("mode_cap" if isinstance(exc, TailNotResolved)
                                else "step_floor")
                 break
             continue
@@ -642,22 +641,18 @@ def estimate_limit(
     cfg: WaveConfig,
     *,
     s_start: float = 0.01,
-    s_ceiling: float = 0.2,
-    initial_step: float = 0.01,
-    min_step: float = 1e-5,
     max_modes: int = 2048,
     time_budget: float | None = None,
 ) -> LimitEstimate:
     """Push the continuation as far as the budget allows.
 
-    The ceiling is set above any attainable steepness, so the walk always
-    ends at the step floor or the mode cap; the last member is the estimate.
+    The walk aims at s = 0.2, above any attainable steepness, with the
+    default steps of `continue_family`, so it always ends at the step floor,
+    the mode cap or the time budget; the last member is the estimate.
     Always returns the best achieved state rather than raising.
     """
-    fam = continue_family(
-        s_start, s_ceiling, cfg,
-        initial_step=initial_step, min_step=min_step, max_modes=max_modes,
-        time_budget=time_budget)
+    fam = continue_family(s_start, _S_CEILING, cfg, max_modes=max_modes,
+                          time_budget=time_budget)
     last = fam.last
     return LimitEstimate(
         s_max=last.steepness,

@@ -29,7 +29,6 @@ __all__ = [
     "ConformalSolution",
     "StripPoint",
     "ConformalJet",
-    "JetGrid",
     "eval_conformal_jet",
     "eval_jet_grid",
     "steepness",
@@ -234,27 +233,13 @@ def eval_conformal_jet(sol: ConformalSolution, pt: StripPoint) -> ConformalJet:
     return _jet_points(sol, pt.q, pt.p)
 
 
-@dataclass(frozen=True)
-class JetGrid:
-    """Vectorized jet on a tensor grid: arrays of shape (len(p), len(q))."""
-
-    q: np.ndarray
-    p: np.ndarray
-    h: np.ndarray
-    h_q: np.ndarray
-    h_p: np.ndarray
-    h_qq: np.ndarray
-    h_qp: np.ndarray
-    h_pp: np.ndarray
-    x: np.ndarray
-
-
-def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> JetGrid:
+def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> ConformalJet:
     """Jet of the solution on the tensor grid q x p, p rows by q columns.
 
     Tensor-grid form of the sums of `eval_conformal_jet`: the depth and
     angle factors separate, so the sums are a handful of (np, N) @ (N, nq)
-    products. Agrees with the scattered-point jet to rounding.
+    products. Returns a `ConformalJet` of (len(p), len(q)) arrays that agrees
+    with the scattered-point jet to rounding.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -277,8 +262,8 @@ def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> JetGr
     h_qq = -(K2E @ C.T) / c**2
     h_qp = -(K2E @ S.T) / c**2
     x = q[None, :] / c + E @ S.T
-    return JetGrid(q=q, p=p, h=h, h_q=h_q, h_p=h_p,
-                   h_qq=h_qq, h_qp=h_qp, h_pp=-h_qq, x=x)
+    return ConformalJet(h=h, h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=h_qp,
+                        h_pp=-h_qq, x=x, x_q=h_p, x_p=-h_q)
 
 
 def steepness(sol: ConformalSolution) -> float:

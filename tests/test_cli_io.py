@@ -254,6 +254,19 @@ def test_exit_2_on_malformed_grid(tmp_path):
                "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--s-start", 0.01, "--s-stop", 0.02, "--modes", 128,
+     "--max-modes", 64],
+    ["limit", "--modes", 128, "--max-modes", 64],
+    ["sweep", "--s-start", 0.03, "--s-stop", 0.02],
+    ["sweep", "--s-start", 0.01, "--s-stop", 0.02, "--s-step", -1],
+])
+def test_exit_2_on_bad_sweep_or_limit_range(argv, tmp_path, capsys):
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_3_on_unreachable_steepness(tmp_path, capsys):
     out = tmp_path / "fail"
     assert run("solve", "--steepness", 0.18, "--modes", 32,

@@ -338,8 +338,13 @@ def test_family_respects_mode_cap():
 
 
 def test_family_rejects_bad_range(cfg64):
-    with pytest.raises(ValueError):
-        continue_family(0.05, 0.02, cfg64)
+    # a zero step would append members at one steepness without end; the
+    # time budget turns such a regression into a failure instead of a hang
+    for s_start, s_stop, step in [(0.05, 0.02, 0.01), (0.01, 0.02, 0.0),
+                                  (0.01, 0.02, -0.01)]:
+        with pytest.raises(ValueError):
+            continue_family(s_start, s_stop, cfg64, initial_step=step,
+                            time_budget=2.0)
 
 
 def test_estimate_limit_time_budget():

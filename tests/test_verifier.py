@@ -121,6 +121,33 @@ def test_velocity_lines_skip_excluded_points(sol_005):
     assert math.isnan(check.worst_margin)
     assert check.note == "empty sampling set"
 
+
+def test_counts_cover_each_sampling_set_on_an_active_disc(sol_005):
+    # every sample of a check's own set is either checked or excluded, once
+    nq, np_ = 64, 32
+    cfg = WaveConfig(mode_count=64, grid_nq=nq, grid_np=np_,
+                     excision_radius=0.6, crest_indicator_threshold=0.99)
+    report = verify_all(sol_005, cfg)
+    sizes = {
+        "hodograph_consistency": nq * np_, "pressure_gradient_dual": nq * np_,
+        "pressure_y_negative": nq * np_, "velocity_v_positive": nq * np_,
+        "velocity_below_wave_speed": nq * np_,
+        "pressure_x_negative": (nq - 2) * np_,
+        "velocity_uq_negative": (nq - 2) * np_,
+        "pressure_x_crest_line": np_, "pressure_x_trough_line": np_,
+        "f_line_values": 2 * np_,
+        "surface_f_nonpositive": nq, "surface_f_decreasing": nq,
+        "surface_slope_bound": nq, "surface_monotone": nq - 2,
+        "pressure_gradient_fd": 100, "pressure_superharmonic": 16,
+        "height_harmonic_fd": 8, "f_harmonic_fd": 12,
+    }
+    for name, size in sizes.items():
+        c = report.check(name)
+        assert c.samples_checked + c.samples_excluded == size, name
+    assert report.check("surface_monotone").samples_excluded > 0
+    assert report.check("pressure_gradient_fd").samples_excluded > 0
+
+
 def test_report_metadata(report_005, sol_005):
     assert report_005.steepness == pytest.approx(steepness(sol_005))
     assert report_005.c == sol_005.c

@@ -216,7 +216,7 @@ def test_point_jet_shapes_blocks_and_one_point_case(sol_005):
     pg = np.array([-1.5, -0.25, 0.0])
     grid = eval_jet_grid(sol_005, qg, pg)
     pts = eval_conformal_jet(sol_005, StripPoint(qg[None, :], pg[:, None]))
-    for name in ("h", "h_q", "h_p", "h_qq", "h_qp", "h_pp", "x"):
+    for name in _JET_FIELDS:
         assert getattr(pts, name).shape == (3, 7)
         np.testing.assert_allclose(getattr(pts, name), getattr(grid, name),
                                    rtol=0, atol=1e-14)
