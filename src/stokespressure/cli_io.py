@@ -20,6 +20,11 @@ Dictionary keys are sorted. JSON floats use repr, the shortest digit string
 that round-trips exactly. CSV floats (`fields.csv`, `summary.csv`) use
 %.17g: 17 significant digits with trailing zeros dropped, so 0.1 is written
 0.10000000000000001; that round-trips too, but is not the shortest string.
+`fields.csv` is formatted on every core the process may run on: the rows
+are split into one contiguous slice per core, the caller formats the first
+and a child made by `os.fork` each other one, and the bytes are the same as
+from one process. Python >= 3.12 warns when a process with threads (OpenBLAS
+has some) forks; the child only formats strings and writes them to a pipe.
 Every run also writes a manifest (tool version, configuration snapshot,
 input hashes, outputs, wall-clock timestamps); the manifest is written last,
 and its timestamps are the one intentionally non-reproducible artifact.
@@ -40,11 +45,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from . import __version__
 from .spectral_solver import (
+    _MIN_STEP,
     ContinuationFamily,
     NonConvergence,
     SolverError,
@@ -75,7 +82,9 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "STOKESPRESSURE_OUT"
 FIELDS_CSV_HEADER = "q,p,x,y,u,v,P,f,Px,Py,excluded"
-_FIELDS_CSV_ROW = ",".join(["%.17g"] * 10 + ["%d"])
+# One CSV line, q and p already printed and excluded given as "0"/"1".
+_FIELDS_CSV_LINE = "%s,%s," + "%.17g," * 8 + "%s\n"
+_FIELDS_CSV_FLOATS = ("x", "y", "u", "v", "P", "f", "P_x", "P_y")
 _FIELDS_CSV_BLOCK = 1024
 _SOLUTION_FORMAT = "stokespressure.solution/1"
 _REPORT_FORMAT = "stokespressure.report/1"
@@ -87,17 +96,21 @@ class CliInputError(ValueError):
     """Unusable file, config key, or argument value (exit code 2)."""
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: list[bytes]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, [text.encode()])
 
 
 def _finite_or_null(obj):
@@ -223,17 +236,102 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _printed(column: np.ndarray) -> np.ndarray:
+    """Each row's value as `_fmt` prints it, formatting every distinct value
+    once. Values are told apart by bit pattern, not by float equality:
+    0.0 == -0.0, but they print as 0 and -0."""
+    bits, row_text = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[row_text]
+
+
+def _format_rows(columns: list[np.ndarray], start: int,
+                 stop: int) -> list[bytes]:
+    """Encoded CSV lines of rows start:stop, one `%` and one bytes object
+    per block of rows.
+
+    A block at a time: turning a whole 256x128 grid into Python objects at
+    once fragments the small-object heap, and peak RSS then creeps up over
+    repeated exports.
+    """
+    out = []
+    for a in range(start, stop, _FIELDS_CSV_BLOCK):
+        b = min(a + _FIELDS_CSV_BLOCK, stop)
+        cells = np.empty((b - a, len(columns)), dtype=object)
+        for k, col in enumerate(columns):
+            cells[:, k] = col[a:b]
+        text = _FIELDS_CSV_LINE * (b - a) % tuple(cells.ravel().tolist())
+        out.append(text.encode())
+    return out
+
+
+def _fork_rows(columns: list[np.ndarray], start: int, stop: int,
+               earlier: list[tuple[int, BinaryIO]]) -> tuple[int, BinaryIO]:
+    """Format rows start:stop in a forked child; returns its pid and the
+    read end of the pipe it writes the encoded lines to. `earlier` holds the
+    (pid, reader) pairs of children already started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for _, reader in earlier:
+                reader.close()
+            with open(w, "wb") as fh:
+                fh.writelines(_format_rows(columns, start, stop))
+            status = 0
+        finally:
+            # Never return into the caller's stack: its finally blocks,
+            # atexit hooks and buffered output belong to the parent.
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def write_fields_csv(samples: np.recarray, path: str | Path) -> None:
     """Export `physical_grid` records with the fixed header; floats carry 17
-    significant digits."""
-    lines = [FIELDS_CSV_HEADER]
-    # A block of rows at a time: converting a whole 256x128 grid to Python
-    # tuples at once fragments the small-object heap, and peak RSS then
-    # creeps up over repeated exports.
-    for start in range(0, len(samples), _FIELDS_CSV_BLOCK):
-        block = samples[start:start + _FIELDS_CSV_BLOCK].tolist()
-        lines += [_FIELDS_CSV_ROW % row for row in block]
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    significant digits.
+
+    The rows are split on block boundaries into one contiguous slice per
+    core this process may use. The caller formats the first slice and a
+    forked child each other one; the file is written, atomically, only
+    after every child has exited cleanly, else OSError is raised.
+    """
+    n = len(samples)
+    columns = [_printed(samples["q"]), _printed(samples["p"]),
+               *(samples[name] for name in _FIELDS_CSV_FLOATS),
+               np.where(samples["excluded"], "1", "0")]
+    blocks = -(-n // _FIELDS_CSV_BLOCK)
+    workers = 1  # where the platform cannot fork or report its affinity
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = max(1, min(len(os.sched_getaffinity(0)), blocks))
+    edges = [min(n, k * blocks // workers * _FIELDS_CSV_BLOCK)
+             for k in range(workers + 1)]
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            children.append(_fork_rows(columns, start, stop, children))
+        parts = [(FIELDS_CSV_HEADER + "\n").encode(),
+                 *_format_rows(columns, 0, edges[1])]
+        parts += [reader.read() for _, reader in children]
+    finally:
+        # Closing the pipes first lets a child blocked on a full pipe fail
+        # and exit, so that waiting for it cannot hang.
+        for _, reader in children:
+            reader.close()
+        failed = [pid for pid, _ in children
+                  if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0]
+    if failed:
+        raise OSError(f"fields.csv: {len(failed)} of {len(children)} "
+                      f"formatting processes failed")
+    _atomic_write(Path(path), parts)
 
 
 def _sha256(path: str | Path) -> str:
@@ -354,8 +452,8 @@ def _cmd_sweep(args) -> int:
     _check_mode_cap(cfg, args.max_modes)
     if not 0.0 < args.s_start <= args.s_stop:
         raise CliInputError("need 0 < --s-start <= --s-stop")
-    if not args.s_step > 0.0:
-        raise CliInputError("--s-step must be positive")
+    if not args.s_step >= _MIN_STEP:
+        raise CliInputError(f"--s-step must be at least {_MIN_STEP:g}")
     outdir = _out_dir(args)
     inputs = [args.config] if args.config else []
     try:

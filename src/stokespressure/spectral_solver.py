@@ -516,12 +516,13 @@ def continue_family(
     """Walk the family from s_start to s_stop with adaptive steps.
 
     Warm-started Newton continuation in steepness: the step, at first
-    ``initial_step`` (> 0), is halved on a failed solve (floor 1e-5) and
-    the mode count is doubled, up to ``max_modes``, whenever the coefficient
-    tail of a converged solve stops meeting the decay bound. A
-    secant-predicted guess is tried first; the plain warm start is retried
-    only if it does not converge or meets a singular Jacobian, never after a
-    tail rejection at the mode cap, which is final for that target. All solves of the walk share one holder of LU
+    ``initial_step`` (at least the floor 1e-5), is halved on a failed solve
+    down to that floor and the mode count is doubled, up to ``max_modes``,
+    whenever the coefficient tail of a converged solve stops meeting the
+    decay bound. A secant-predicted guess is tried first; the plain warm
+    start is retried only if it does not converge or meets a singular
+    Jacobian, never after a tail rejection at the mode cap, which is final
+    for that target. All solves of the walk share one holder of LU
     factors, the GMRES preconditioner of `newton_solve`, which each
     refreshes only when it no longer serves. Members are recorded at every
     accepted target; the family ends either at s_stop or at the largest
@@ -531,8 +532,8 @@ def continue_family(
     """
     if not (0.0 < s_start <= s_stop):
         raise ValueError("need 0 < s_start <= s_stop")
-    if not initial_step > 0.0:
-        raise ValueError("need initial_step > 0")
+    if not initial_step >= _MIN_STEP:
+        raise ValueError(f"need initial_step >= {_MIN_STEP:g}")
     if cfg.mode_count > max_modes:
         raise ValueError("cfg.mode_count exceeds max_modes")
     t0 = time.monotonic()

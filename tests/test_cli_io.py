@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from stokespressure import cli_io
 from stokespressure.cli_io import (
     FIELDS_CSV_HEADER,
     OUTPUT_DIR_ENV,
@@ -134,6 +136,120 @@ def test_fields_export_bytes_follow_grid_arrays(sol_005, tmp_path):
     assert json.loads((tmp_path / "fields.json").read_text()) == records
 
 
+# --- parallel fields.csv export ----------------------------------------------
+
+def _per_row_fields_csv(samples) -> bytes:
+    """The serial per-row writer the parallel export must match byte for
+    byte: one `%` per row over `tolist()` blocks of 1,024 rows."""
+    row = ",".join(["%.17g"] * 10 + ["%d"])
+    lines = [FIELDS_CSV_HEADER]
+    for start in range(0, len(samples), 1024):
+        lines += [row % r for r in samples[start:start + 1024].tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def grid_013(sol_013):
+    cfg = WaveConfig(mode_count=512, grid_nq=256, grid_np=128)
+    return physical_grid(sol_013, cfg)
+
+
+def _special_records(dtype, n=2500):
+    # q and p hold values whose printing a float-keyed cache would get wrong
+    # (0.0 == -0.0) or that take all 17 digits; the float fields hold the
+    # non-finite values and the negative zero.
+    specials = np.array([0.0, -0.0, 0.1, 1e-5, 1e16, 1e17, 5e-324])
+    fills = np.array([np.nan, np.inf, -np.inf, -0.0, 1.0 / 3.0])
+    i = np.arange(n)
+    rec = np.recarray(n, dtype=dtype)
+    rec.q = specials[i % 7]
+    rec.p = specials[(i // 7) % 7]
+    for k, name in enumerate(("x", "y", "u", "v", "P", "f", "P_x", "P_y")):
+        rec[name] = fills[(i + k) % 5]
+    rec.excluded = i % 3 == 0
+    return rec
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_fields_csv_bytes_match_the_per_row_writer(grid_013, cores,
+                                                   monkeypatch, tmp_path):
+    _cores(monkeypatch, cores)
+    cases = ([grid_013] + [grid_013[:n] for n in (1, 1023, 1024, 1025, 3073)]
+             + [_special_records(grid_013.dtype)])
+    for i, samples in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
+        write_fields_csv(samples, path)
+        assert path.read_bytes() == _per_row_fields_csv(samples), len(samples)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fields_csv_leaves_no_child_process(grid_013, monkeypatch, tmp_path):
+    # 3,073 rows on three cores: each child's slice overflows a pipe buffer,
+    # so a child is still blocked writing when the caller's own slice fails.
+    _cores(monkeypatch, 3)
+    samples = grid_013[:3073]
+    write_fields_csv(samples, tmp_path / "ok.csv")
+    _assert_no_child_left()
+    caller = os.getpid()
+    format_rows = cli_io._format_rows
+
+    def failing_in(where):
+        def rows(columns, start, stop):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise RuntimeError(f"formatting failed in the {where}")
+            return format_rows(columns, start, stop)
+        return rows
+
+    for where, error in (("child", OSError), ("caller", RuntimeError)):
+        monkeypatch.setattr(cli_io, "_format_rows", failing_in(where))
+        with pytest.raises(error):
+            write_fields_csv(samples, tmp_path / "fields.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
+        _assert_no_child_left()
+
+
+def test_fields_csv_work_is_split_and_q_p_printed_once(grid_013, monkeypatch,
+                                                       tmp_path):
+    # A count guard, not a time guard: on two cores the caller formats at
+    # most half of a 256x128 grid's 32 blocks itself, and each distinct q and
+    # p value is printed once, not once per row.
+    _cores(monkeypatch, 2)
+    caller = os.getpid()
+    own_blocks, printed = [], []
+    format_rows, fmt = cli_io._format_rows, cli_io._fmt
+
+    def rows(columns, start, stop):
+        if os.getpid() == caller:
+            own_blocks.append(-(-(stop - start) // cli_io._FIELDS_CSV_BLOCK))
+        return format_rows(columns, start, stop)
+
+    def counted_fmt(x):
+        printed.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli_io, "_format_rows", rows)
+    monkeypatch.setattr(cli_io, "_fmt", counted_fmt)
+    write_fields_csv(grid_013, tmp_path / "fields.csv")
+    blocks = -(-len(grid_013) // cli_io._FIELDS_CSV_BLOCK)
+    assert blocks == 32
+    if hasattr(os, "fork"):
+        assert 0 < sum(own_blocks) <= -(-blocks // 2)
+    distinct = [*np.unique(grid_013.q), *np.unique(grid_013.p)]
+    assert len(distinct) == 256 + 128
+    assert sorted(printed) == sorted(distinct)
+
+
 # --- subcommands -------------------------------------------------------------
 
 def test_solve_verify_fields_pipeline(tmp_path):
@@ -260,6 +376,7 @@ def test_exit_2_on_malformed_grid(tmp_path):
     ["limit", "--modes", 128, "--max-modes", 64],
     ["sweep", "--s-start", 0.03, "--s-stop", 0.02],
     ["sweep", "--s-start", 0.01, "--s-stop", 0.02, "--s-step", -1],
+    ["sweep", "--s-start", 0.01, "--s-stop", 0.02, "--s-step", 1e-9],
 ])
 def test_exit_2_on_bad_sweep_or_limit_range(argv, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "out") == 2
