@@ -9,7 +9,9 @@ Subcommands:
     limit    push the continuation to the steepest resolvable wave
 
 Exit codes: 0 success, 1 verification failed, 2 invalid input or
-configuration, 3 solver failure (diagnostics are still written).
+configuration (nothing is written), 3 solver failure. On a solver failure
+every command writes `<command>_failure.json` (error class, message, mode
+count, and the requested steepness for `solve`) and the manifest.
 
 All artifacts are JSON or CSV written atomically (temp file + rename) with
 deterministic content, so identical runs at the same OpenBLAS thread count
@@ -26,8 +28,10 @@ and a child made by `os.fork` each other one, and the bytes are the same as
 from one process. Python >= 3.12 warns when a process with threads (OpenBLAS
 has some) forks; the child only formats strings and writes them to a pipe.
 Every run also writes a manifest (tool version, configuration snapshot,
-input hashes, outputs, wall-clock timestamps); the manifest is written last,
-and its timestamps are the one intentionally non-reproducible artifact.
+SHA-256 of the inputs, `--config` and `--solution` where given, and of the
+bytes each output was written with, wall-clock timestamps); the manifest is
+written last, and its timestamps are the one intentionally non-reproducible
+artifact.
 
 Output directory resolution: --out flag, else the STOKESPRESSURE_OUT
 environment variable, else the working directory.
@@ -51,8 +55,6 @@ import numpy as np
 
 from . import __version__
 from .spectral_solver import (
-    _MIN_STEP,
-    ContinuationFamily,
     NonConvergence,
     SolverError,
     continue_family,
@@ -96,21 +98,27 @@ class CliInputError(ValueError):
     """Unusable file, config key, or argument value (exit code 2)."""
 
 
-def _atomic_write(path: Path, chunks: list[bytes]) -> None:
+def _atomic_write(path: Path, chunks: list[bytes]) -> str:
+    """Write chunks to path atomically, creating its parent directories;
+    returns the SHA-256 hex digest of the bytes written."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, [text.encode()])
+def _atomic_write_text(path: Path, text: str) -> str:
+    return _atomic_write(path, [text.encode()])
 
 
 def _finite_or_null(obj):
@@ -171,8 +179,9 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> WaveC
 
 
 def save_solution(sol: ConformalSolution, path: str | Path,
-                  diagnostics: dict | None = None) -> None:
-    """Write a solution as deterministic JSON (atomic)."""
+                  diagnostics: dict | None = None) -> str:
+    """Write a solution as deterministic JSON (atomic); returns the file's
+    SHA-256."""
     doc = {
         "format": _SOLUTION_FORMAT,
         "c": sol.c,
@@ -184,7 +193,7 @@ def save_solution(sol: ConformalSolution, path: str | Path,
     }
     if diagnostics:
         doc["diagnostics"] = diagnostics
-    _atomic_write_text(Path(path), _dump_json(doc))
+    return _atomic_write_text(Path(path), _dump_json(doc))
 
 
 def load_solution(path: str | Path) -> ConformalSolution:
@@ -215,10 +224,12 @@ def load_solution(path: str | Path) -> ConformalSolution:
         raise CliInputError(f"{path}: malformed solution file: {exc}") from exc
 
 
-def save_report(report: VerificationReport, path: str | Path) -> None:
+def save_report(report: VerificationReport, path: str | Path) -> str:
+    """Write a report as deterministic JSON (atomic); returns the file's
+    SHA-256."""
     doc = {"format": _REPORT_FORMAT}
     doc.update(report.to_dict())
-    _atomic_write_text(Path(path), _dump_json(doc))
+    return _atomic_write_text(Path(path), _dump_json(doc))
 
 
 def load_report(path: str | Path) -> VerificationReport:
@@ -295,9 +306,9 @@ def _fork_rows(columns: list[np.ndarray], start: int, stop: int,
     return pid, open(r, "rb")
 
 
-def write_fields_csv(samples: np.recarray, path: str | Path) -> None:
+def write_fields_csv(samples: np.recarray, path: str | Path) -> str:
     """Export `physical_grid` records with the fixed header; floats carry 17
-    significant digits.
+    significant digits. Returns the file's SHA-256.
 
     The rows are split on block boundaries into one contiguous slice per
     core this process may use. The caller formats the first slice and a
@@ -331,7 +342,7 @@ def write_fields_csv(samples: np.recarray, path: str | Path) -> None:
     if failed:
         raise OSError(f"fields.csv: {len(failed)} of {len(children)} "
                       f"formatting processes failed")
-    _atomic_write(Path(path), parts)
+    return _atomic_write(Path(path), parts)
 
 
 def _sha256(path: str | Path) -> str:
@@ -341,9 +352,11 @@ def _sha256(path: str | Path) -> str:
 
 
 def write_manifest(outdir: Path, command: str, cfg: WaveConfig,
-                   inputs: list[str | Path], outputs: list[str | Path],
+                   inputs: list[str | Path], outputs: dict[str, str],
                    started: float, extra: dict | None = None) -> Path:
-    """Write the run manifest; call last so it can hash every output."""
+    """Write the run manifest last. ``outputs`` maps each file name written
+    to the SHA-256 its writer returned; only the inputs are read back to be
+    hashed."""
     doc = {
         "format": "stokespressure.manifest/1",
         "tool_version": __version__,
@@ -351,7 +364,7 @@ def write_manifest(outdir: Path, command: str, cfg: WaveConfig,
         "config": dataclasses.asdict(cfg),
         "timestamps": {"started": started, "finished": time.time()},
         "input_hashes": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(Path(p).name): _sha256(p) for p in outputs},
+        "outputs": outputs,
     }
     if extra:
         doc["run"] = extra
@@ -361,10 +374,7 @@ def write_manifest(outdir: Path, command: str, cfg: WaveConfig,
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -390,16 +400,14 @@ def _overrides_from(args) -> dict:
 
 
 def _solve_to(s_target: float, cfg: WaveConfig, max_modes: int) -> tuple[ConformalSolution, dict]:
-    if s_target < 0.0:
-        raise CliInputError("steepness must be nonnegative")
     if s_target == 0.0:
         diag: dict = {}
         sol = newton_solve(initial_guess(0.0, cfg), 0.0, cfg, diagnostics=diag)
         return sol, diag
-    # Every positive target goes through the continuation, which doubles N
-    # up to the cap while the tail is unresolved; up to s = 0.02 it is one
-    # solve from the linear guess. A cap below the starting N allows no
-    # doubling.
+    # Every other target goes through the continuation, which rejects a
+    # negative or non-finite one and doubles N up to the cap while the tail
+    # is unresolved; up to s = 0.02 it is one solve from the linear guess. A
+    # cap below the starting N allows no doubling.
     fam = continue_family(min(0.02, s_target), s_target, cfg,
                           max_modes=max(max_modes, cfg.mode_count))
     last = fam.members[-1]
@@ -413,63 +421,28 @@ def _solve_to(s_target: float, cfg: WaveConfig, max_modes: int) -> tuple[Conform
                            "tail_ratio": last.tail_ratio}
 
 
-def _check_mode_cap(cfg: WaveConfig, max_modes: int) -> None:
-    if cfg.mode_count > max_modes:
-        raise CliInputError(f"mode_count {cfg.mode_count} exceeds "
-                            f"--max-modes {max_modes}")
+# Each `_cmd_*` runs one subcommand on the loaded configuration and the
+# resolved output directory. It returns the exit code, {file name: SHA-256}
+# of what it wrote, and the manifest's `run` extras; `main` does the rest.
 
-
-def _cmd_solve(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, _overrides_from(args))
-    outdir = _out_dir(args)
-    inputs = [args.config] if args.config else []
-    try:
-        sol, diag = _solve_to(args.steepness, cfg, args.max_modes)
-    except SolverError as exc:
-        failure = outdir / "solve_failure.json"
-        _atomic_write_text(failure, _dump_json({
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "steepness": args.steepness,
-            "mode_count": cfg.mode_count,
-        }))
-        write_manifest(outdir, "solve", cfg, inputs, [failure], started)
-        print(f"solve: FAILED ({type(exc).__name__}: {exc})", file=sys.stderr)
-        return 3
+def _cmd_solve(args, cfg: WaveConfig, outdir: Path):
+    sol, diag = _solve_to(args.steepness, cfg, args.max_modes)
     path = outdir / "solution.json"
-    save_solution(sol, path, diagnostics=diag)
-    write_manifest(outdir, "solve", cfg, inputs, [path], started,
-                   extra={"steepness": steepness(sol)})
+    digest = save_solution(sol, path, diagnostics=diag)
     print(f"solve: s = {steepness(sol):.6f}  c = {sol.c:.12g}  "
           f"E = {sol.E:.12g}  N = {sol.mode_count}  -> {path}")
-    return 0
+    return 0, {path.name: digest}, {"steepness": steepness(sol)}
 
 
-def _cmd_sweep(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, _overrides_from(args))
-    _check_mode_cap(cfg, args.max_modes)
-    if not 0.0 < args.s_start <= args.s_stop:
-        raise CliInputError("need 0 < --s-start <= --s-stop")
-    if not args.s_step >= _MIN_STEP:
-        raise CliInputError(f"--s-step must be at least {_MIN_STEP:g}")
-    outdir = _out_dir(args)
-    inputs = [args.config] if args.config else []
-    try:
-        fam = continue_family(args.s_start, args.s_stop, cfg,
-                              initial_step=args.s_step,
-                              max_modes=args.max_modes)
-    except SolverError as exc:
-        print(f"sweep: FAILED ({type(exc).__name__}: {exc})", file=sys.stderr)
-        return 3
-    outputs = []
+def _cmd_sweep(args, cfg: WaveConfig, outdir: Path):
+    fam = continue_family(args.s_start, args.s_stop, cfg,
+                          initial_step=args.s_step, max_modes=args.max_modes)
+    outputs = {}
     rows = ["s,c,E,K,N,newton_iters,residual_norm,tail_ratio,"
             "midpoint_residual,crest_angle_deg"]
     for m in fam.members:
         spath = outdir / f"solution_s{m.steepness:.6f}.json"
-        save_solution(m.solution, spath)
-        outputs.append(spath)
+        outputs[spath.name] = save_solution(m.solution, spath)
         rows.append(",".join([
             _fmt(m.steepness), _fmt(m.solution.c), _fmt(m.solution.E),
             _fmt(m.crest_indicator), str(m.solution.mode_count),
@@ -477,26 +450,17 @@ def _cmd_sweep(args) -> int:
             _fmt(midpoint_residual(m.solution)),
             _fmt(crest_angle(m.solution))]))
     summary = outdir / "summary.csv"
-    _atomic_write_text(summary, "\n".join(rows) + "\n")
-    outputs.append(summary)
-    write_manifest(outdir, "sweep", cfg, inputs, outputs, started,
-                   extra={"stop_reason": fam.stop_reason,
-                          "members": len(fam.members)})
+    outputs[summary.name] = _atomic_write_text(summary, "\n".join(rows) + "\n")
     print(f"sweep: {len(fam.members)} members to s = "
           f"{fam.members[-1].steepness:.6f} ({fam.stop_reason}) -> {summary}")
-    return 0
+    return 0, outputs, {"stop_reason": fam.stop_reason,
+                        "members": len(fam.members)}
 
 
-def _cmd_verify(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, _overrides_from(args))
-    outdir = _out_dir(args)
-    sol = load_solution(args.solution)
-    report = verify_all(sol, cfg)
+def _cmd_verify(args, cfg: WaveConfig, outdir: Path):
+    report = verify_all(load_solution(args.solution), cfg)
     path = outdir / "report.json"
-    save_report(report, path)
-    write_manifest(outdir, "verify", cfg, [args.solution], [path], started,
-                   extra={"passed": report.passed})
+    digest = save_report(report, path)
     for ch in report.checks:
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: "
               f"margin {ch.worst_margin:.3e} (tol {ch.tolerance_used:.1e}, "
@@ -504,49 +468,38 @@ def _cmd_verify(args) -> int:
     print(f"verify: {'PASSED' if report.passed else 'FAILED'} "
           f"{sum(ch.passed for ch in report.checks)}/{len(report.checks)} "
           f"checks -> {path}")
-    return 0 if report.passed else 1
+    code = 0 if report.passed else 1
+    return code, {path.name: digest}, {"passed": report.passed}
 
 
-def _cmd_fields(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, _overrides_from(args))
-    outdir = _out_dir(args)
-    sol = load_solution(args.solution)
-    samples = physical_grid(sol, cfg)
+def _cmd_fields(args, cfg: WaveConfig, outdir: Path):
+    samples = physical_grid(load_solution(args.solution), cfg)
     if args.format == "csv":
         path = outdir / "fields.csv"
-        write_fields_csv(samples, path)
+        digest = write_fields_csv(samples, path)
     else:
         path = outdir / "fields.json"
         names = samples.dtype.names
-        _atomic_write_text(path, _dump_json(
+        digest = _atomic_write_text(path, _dump_json(
             [dict(zip(names, row)) for row in samples.tolist()]))
-    write_manifest(outdir, "fields", cfg, [args.solution], [path], started,
-                   extra={"samples": len(samples)})
     print(f"fields: {len(samples)} samples -> {path}")
-    return 0
+    return 0, {path.name: digest}, {"samples": len(samples)}
 
 
-def _cmd_limit(args) -> int:
-    started = time.time()
-    cfg = load_config(args.config, _overrides_from(args))
-    _check_mode_cap(cfg, args.max_modes)
-    outdir = _out_dir(args)
+def _cmd_limit(args, cfg: WaveConfig, outdir: Path):
     est = estimate_limit(cfg, max_modes=args.max_modes,
                          time_budget=args.time_budget)
     path = outdir / "limit.json"
-    _atomic_write_text(path, _dump_json({
+    digest = _atomic_write_text(path, _dump_json({
         "s_max": est.s_max,
         "K_at_max": est.K_at_max,
         "N_used": est.N_used,
         "stop_reason": est.stop_reason,
         "crest_angle_deg": crest_angle(est.family.last.solution),
     }))
-    inputs = [args.config] if args.config else []
-    write_manifest(outdir, "limit", cfg, inputs, [path], started)
     print(f"limit: s_max = {est.s_max:.6f}  K = {est.K_at_max:.4f}  "
           f"N = {est.N_used} ({est.stop_reason}) -> {path}")
-    return 0
+    return 0, {path.name: digest}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -603,19 +556,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand: load the configuration, run the command, write
+    the manifest last. Invalid input exits 2 before anything is written; a
+    solver failure writes `<command>_failure.json` and exits 3."""
+    args = _build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
-    except CliInputError as exc:
+        cfg = load_config(args.config, _overrides_from(args))
+        outdir = _out_dir(args)
+        try:
+            code, outputs, extra = args.func(args, cfg, outdir)
+        except SolverError as exc:
+            print(f"{args.command}: FAILED ({type(exc).__name__}: {exc})",
+                  file=sys.stderr)
+            failure = {"error": type(exc).__name__, "message": str(exc),
+                       "mode_count": cfg.mode_count}
+            if args.command == "solve":
+                failure["steepness"] = args.steepness
+            name = f"{args.command}_failure.json"
+            outputs = {name: _atomic_write_text(outdir / name,
+                                                _dump_json(failure))}
+            code, extra = 3, None
+    except (CliInputError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidConfig as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return 3
+    inputs = [p for p in (args.config, getattr(args, "solution", None)) if p]
+    write_manifest(outdir, args.command, cfg, inputs, outputs, started, extra)
+    return code
 
 
 def entrypoint() -> None:

@@ -311,6 +311,22 @@ def _records(gf: FieldGrid) -> np.recarray:
     return rows.reshape(-1)
 
 
+def _strip_grid(sol: ConformalSolution, cfg: WaveConfig) -> FieldGrid:
+    """`grid_fields` on the configured strip grid: grid_np rows from the
+    floor p_min up to the surface p = 0, each of grid_nq columns from the
+    crest line q = 0 to the trough line q = pi*c.
+
+    Both ends of each axis are sampled, so fewer than 2 samples on an axis
+    raise InvalidConfig: one row would put the surface on the floor, and one
+    column the trough line on the crest line.
+    """
+    if cfg.grid_nq < 2 or cfg.grid_np < 2:
+        raise InvalidConfig("field grid needs at least 2 samples per axis")
+    q = np.linspace(0.0, np.pi * sol.c, cfg.grid_nq)
+    p = np.linspace(cfg.resolved_depth(sol.c), 0.0, cfg.grid_np)
+    return grid_fields(sol, q, p, cfg)
+
+
 def physical_grid(sol: ConformalSolution,
                   cfg: WaveConfig | None = None) -> np.recarray:
     """Sample every field on the configured strip grid.
@@ -321,15 +337,7 @@ def physical_grid(sol: ConformalSolution,
     (half period, crest column first); row-major with q fastest. Points
     inside an active excision disc are flagged, not omitted.
     """
-    cfg = cfg or _DEFAULT
-    if cfg.grid_nq < 2 or cfg.grid_np < 2:
-        raise InvalidConfig("field grid needs at least 2 samples per axis")
-    p_min = cfg.resolved_depth(sol.c)
-    if not (p_min < 0.0):
-        raise InvalidConfig("grid floor p_min must be negative")
-    q = np.linspace(0.0, np.pi * sol.c, cfg.grid_nq)
-    p = np.linspace(p_min, 0.0, cfg.grid_np)
-    return _records(grid_fields(sol, q, p, cfg))
+    return _records(_strip_grid(sol, cfg or _DEFAULT))
 
 
 def invert_position(sol: ConformalSolution, x_target, y_target, q0, p0,

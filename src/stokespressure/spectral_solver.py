@@ -39,6 +39,7 @@ from scipy.linalg import (
 from .wave_model import (
     TAIL_DECAY_RATIO,
     ConformalSolution,
+    InvalidConfig,
     WaveConfig,
     steepness,
     crest_indicator,
@@ -528,14 +529,15 @@ def continue_family(
     accepted target; the family ends either at s_stop or at the largest
     steepness achievable within the budget, with the stop reason recorded.
     Solver errors propagate only if not even the first member can be
-    computed.
+    computed. An unusable range, step or mode cap raises InvalidConfig.
     """
-    if not (0.0 < s_start <= s_stop):
-        raise ValueError("need 0 < s_start <= s_stop")
+    if not (0.0 < s_start <= s_stop < np.inf):
+        raise InvalidConfig("need 0 < s_start <= s_stop < inf")
     if not initial_step >= _MIN_STEP:
-        raise ValueError(f"need initial_step >= {_MIN_STEP:g}")
+        raise InvalidConfig(f"need initial_step >= {_MIN_STEP:g}")
     if cfg.mode_count > max_modes:
-        raise ValueError("cfg.mode_count exceeds max_modes")
+        raise InvalidConfig(f"mode_count {cfg.mode_count} exceeds "
+                            f"max_modes {max_modes}")
     t0 = time.monotonic()
     ramp0 = min(s_start, 0.02)
     diag: dict = {}

@@ -32,6 +32,7 @@ from . import oracles
 from .hodograph_fields import (
     FieldGrid,
     _exclusion_mask,
+    _strip_grid,
     f_field,
     grid_fields,
     pressure,
@@ -158,12 +159,6 @@ class VerificationReport:
         )
 
 
-def _default_grid(sol: ConformalSolution, cfg: WaveConfig) -> FieldGrid:
-    q = np.linspace(0.0, np.pi * sol.c, cfg.grid_nq)
-    p = np.linspace(cfg.resolved_depth(sol.c), 0.0, cfg.grid_np)
-    return grid_fields(sol, q, p, cfg)
-
-
 # Sampling sets of the grid checks, as index expressions into the arrays of a
 # `FieldGrid`: rows run from the floor up to the surface p = 0, columns from
 # the crest line q = 0 to the trough line q = pi c.
@@ -239,7 +234,7 @@ def verify_theorem_Px(sol: ConformalSolution, cfg: WaveConfig | None = None,
     crest and trough lines to 1e-10 * g.
     """
     cfg = cfg or _DEFAULT
-    gf = fields if fields is not None else _default_grid(sol, cfg)
+    gf = fields if fields is not None else _strip_grid(sol, cfg)
     g = sol.gravity
     abs_px = np.abs(gf.P_x)
     return [
@@ -259,7 +254,7 @@ def verify_theorem_Py(sol: ConformalSolution, cfg: WaveConfig | None = None,
     in the note of (b) against its own decay-scaled bound.
     """
     cfg = cfg or _DEFAULT
-    gf = fields if fields is not None else _default_grid(sol, cfg)
+    gf = fields if fields is not None else _strip_grid(sol, cfg)
     g = sol.gravity
     deep = grid_fields(sol, gf.q, np.array([-20.0 * sol.c]), cfg)
     err = np.abs(deep.P_y + g)
@@ -286,7 +281,7 @@ def verify_f_results(sol: ConformalSolution, cfg: WaveConfig | None = None,
     Laplacian at deterministic interior points).
     """
     cfg = cfg or _DEFAULT
-    gf = fields if fields is not None else _default_grid(sol, cfg)
+    gf = fields if fields is not None else _strip_grid(sol, cfg)
     g = sol.gravity
     tol = 1e-10 * g
     # f on the crest line, f + g pi on the trough line.
@@ -319,7 +314,7 @@ def verify_velocity_results(sol: ConformalSolution,
     (u_q < 0 strictly off the lines).
     """
     cfg = cfg or _DEFAULT
-    gf = fields if fields is not None else _default_grid(sol, cfg)
+    gf = fields if fields is not None else _strip_grid(sol, cfg)
     tol = 1e-12 * sol.c
     v_interior = _negative("velocity_v_positive", gf, -gf.v, _INTERIOR, sol.c)
     line_keep = ~gf.excluded[_LINES]
@@ -536,10 +531,11 @@ def verify_all(sol: ConformalSolution, cfg: WaveConfig | None = None) -> Verific
 
     Deterministic: repeated calls on the same solution produce identical
     reports. The grid, FD sampling sets and tolerances all come from cfg
-    and module constants, never from global state.
+    and module constants, never from global state. A grid with fewer than 2
+    samples on an axis raises InvalidConfig.
     """
     cfg = cfg or _DEFAULT
-    gf = _default_grid(sol, cfg)
+    gf = _strip_grid(sol, cfg)
     checks: list[CheckResult] = []
     checks.append(_series_reference_check(sol, cfg))
     checks.extend(_bernoulli_checks(sol, cfg))

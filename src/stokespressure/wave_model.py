@@ -42,7 +42,8 @@ TAIL_DECAY_RATIO = 1e-8
 
 
 class InvalidConfig(ValueError):
-    """A configuration value (or a derived grid setting) is unusable."""
+    """A configuration value, a derived grid setting or an argument of a
+    solver or grid routine (range, step, mode cap) is unusable."""
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -18,7 +19,8 @@ from stokespressure.cli_io import (
 )
 from stokespressure.hodograph_fields import grid_fields, physical_grid
 from stokespressure.spectral_solver import initial_guess, newton_solve
-from stokespressure.wave_model import WaveConfig, steepness
+from stokespressure.verifier import verify_all
+from stokespressure.wave_model import InvalidConfig, WaveConfig, steepness
 
 
 def run(*argv):
@@ -362,12 +364,32 @@ def test_exit_2_on_corrupt_solution(tmp_path):
 
 
 def test_exit_2_on_negative_steepness(tmp_path):
-    assert run("solve", "--steepness", -0.1, "--out", tmp_path) == 2
+    # a non-finite target is rejected before any solve, like a negative one
+    for s in (-0.1, "nan", "inf"):
+        assert run("solve", "--steepness", s, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_on_malformed_grid(tmp_path):
     assert run("solve", "--steepness", 0.01, "--grid", "banana",
                "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("grid", ["16x1", "1x16"])
+def test_exit_2_on_grid_with_one_sample_on_an_axis(sol_005, grid, tmp_path):
+    # One row would put the surface checks on the floor, one column the
+    # trough line on the crest line.
+    nq, np_ = (int(n) for n in grid.split("x"))
+    with pytest.raises(InvalidConfig):
+        verify_all(sol_005, WaveConfig(mode_count=64, grid_nq=nq,
+                                       grid_np=np_))
+    sol = tmp_path / "solution.json"
+    save_solution(sol_005, sol)
+    for command in ("verify", "fields"):
+        out = tmp_path / command
+        assert run(command, "--solution", sol, "--grid", grid,
+                   "--out", out) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -393,6 +415,18 @@ def test_exit_3_on_unreachable_steepness(tmp_path, capsys):
     doc = json.loads((out / "solve_failure.json").read_text())
     assert doc["error"] == "NonConvergence"
     assert (out / "manifest.json").exists()
+
+
+def test_exit_3_on_sweep_failure(tmp_path, capsys):
+    out = tmp_path / "fail"
+    assert run("sweep", "--s-start", 0.18, "--s-stop", 0.19, "--modes", 32,
+               "--max-modes", 64, "--out", out) == 3
+    assert "sweep: FAILED" in capsys.readouterr().err
+    doc = json.loads((out / "sweep_failure.json").read_text())
+    assert doc["error"] == "TailNotResolved"
+    assert set(doc) == {"error", "message", "mode_count"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["sweep_failure.json"]
 
 
 def test_exit_1_on_failed_verification(sol_005, tmp_path):
@@ -422,12 +456,29 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
-def test_manifest_hashes_outputs(tmp_path):
-    import hashlib
+@pytest.mark.parametrize("argv", [
+    ["solve", "--steepness", 0.02, "--modes", 32],
+    ["sweep", "--s-start", 0.01, "--s-stop", 0.03, "--modes", 32],
+    ["verify", "--solution"],
+    ["fields", "--solution"],
+    ["fields", "--format", "json", "--solution"],
+    ["limit", "--modes", 32, "--max-modes", 64],
+], ids=["solve", "sweep", "verify", "fields-csv", "fields-json", "limit"])
+def test_manifest_hashes_outputs(argv, sol_005, tmp_path):
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid_nq": 12, "grid_np": 6}))
+    inputs = [config]
+    if argv[-1] == "--solution":
+        inputs.append(tmp_path / "solution.json")
+        save_solution(sol_005, inputs[-1])
+        argv = argv + [inputs[-1]]
     out = tmp_path / "m"
-    assert run("solve", "--steepness", 0.02, "--modes", 32, "--out", out) == 0
+    assert run(*argv, "--config", config, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    recorded = manifest["outputs"]["solution.json"]
-    actual = hashlib.sha256((out / "solution.json").read_bytes()).hexdigest()
-    assert recorded == actual
+    written = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == {p.name: sha256(p) for p in written}
+    assert manifest["input_hashes"] == {str(p): sha256(p) for p in inputs}
     assert manifest["timestamps"]["finished"] >= manifest["timestamps"]["started"]

@@ -342,7 +342,8 @@ def test_family_rejects_bad_range(cfg64):
     # time budget turns such a regression into a failure instead of a hang;
     # a step below the 1e-5 floor would append members nearly as fast
     for s_start, s_stop, step in [(0.05, 0.02, 0.01), (0.01, 0.02, 0.0),
-                                  (0.01, 0.02, -0.01), (0.01, 0.02, 1e-9)]:
+                                  (0.01, 0.02, -0.01), (0.01, 0.02, 1e-9),
+                                  (0.01, np.inf, 0.01)]:
         with pytest.raises(ValueError):
             continue_family(s_start, s_stop, cfg64, initial_step=step,
                             time_budget=2.0)
