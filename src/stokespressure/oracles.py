@@ -227,6 +227,10 @@ def limit_bracket(
 
     # Anchor store: steepness -> solution at walk resolution.
     anchors: dict[float, ConformalSolution] = {}
+    # Walk steps (anchor, target) whose solve and retry both failed. An
+    # anchor never changes once set and each solve starts without held
+    # factors, so solving such a step again would repeat the failure.
+    failed: set[tuple[float, float]] = set()
 
     def nearest_anchor(s: float):
         below = [a for a in anchors if a <= s + 1e-12]
@@ -247,6 +251,8 @@ def limit_bracket(
             cur, sol = found
         while cur < s - 1e-12:
             nxt = min(cur + ministep, s)
+            if (cur, nxt) in failed:
+                return None
             guess = (sol if sol.coeffs.size >= walk_modes
                      else ss._pad_modes(sol, walk_modes))
             try:
@@ -261,6 +267,7 @@ def limit_bracket(
                     anchors[cur] = sol
                     continue
                 except ss.SolverError:
+                    failed.add((cur, nxt))
                     return None
             cur = nxt
             anchors[cur] = sol

@@ -8,17 +8,28 @@ closed by prescribing the steepness. The surface sums at the collocation
 angles come from one real FFT.
 
 The system is solved by inexact Newton. Each iteration solves J delta = -r
-by flexible GMRES, with J.v taken matrix-free from the same FFTs and a
-single-precision copy of the LU factors of the last dense Jacobian as right
-preconditioner; the step is accepted once ||J delta + r||_2 <= 1e-3
-||r||_2. When no factors of the right order are held, or GMRES misses that
-forcing test within 20 iterations, the analytic Jacobian is built and
-factored at the current iterate and the step is the direct LU solve in
-double precision. A continuation in steepness walks the family from the
-linear regime toward the limiting wave, carrying the factors from member to
-member: each target is tried first from a secant-predicted guess, then from
-the previous member as a warm start; the step is halved on failed solves
-and the mode count doubled when the coefficient tail stops being resolved.
+by flexible GMRES with J.v taken matrix-free from the same FFTs; the step is
+accepted once ||J delta + r||_2 <= 1e-3 ||r||_2. The right preconditioner is
+chosen in this order:
+
+1. a single-precision copy of the LU factors of the last dense Jacobian,
+   when factors of order N+2 are held;
+2. when no factors at all are held and N >= 1024, a Fourier multiplier: the
+   constant-coefficient model of J, diagonal in cosine space on the mode
+   columns, applied by one real FFT without any N^2 array;
+3. neither, or GMRES misses the forcing test within 20 iterations: the
+   analytic Jacobian is built and factored at the current iterate, the step
+   is the direct LU solve in double precision, and its factors are held.
+
+The dense path stays because the Fourier model alone is a weak
+preconditioner near the limiting wave, where GMRES then needs many times the
+iterations, and because below N = 1024 a dense J and LU cost less than the
+Fourier path's extra iterations. A continuation in steepness walks the
+family from the linear regime toward the limiting wave, carrying the factors
+from member to member: each target is tried first from a secant-predicted
+guess, then from the previous member as a warm start; the step is halved on
+failed solves and the mode count doubled when the coefficient tail stops
+being resolved.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ _RCOND_FLOOR = 1e-14
 _MAX_DAMPINGS = 8
 _FORCING = 1e-3  # a Krylov step must cut ||J delta + r||_2 by this factor
 _KRYLOV_MAX = 20  # GMRES iterations before the preconditioner is refreshed
+_FOURIER_MIN_MODES = 1024  # N from which a solve without factors tries Fourier
 _JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
 _MIN_STEP = 1e-5  # continuation step floor
 _S_CEILING = 0.2  # `estimate_limit` target, above any attainable steepness
@@ -186,23 +198,32 @@ def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     return J
 
 
-def _jvp_operator(sol: ConformalSolution):
-    """d -> J d for the Jacobian of `residual_vector` at sol, without
-    forming J.
+def _weights(sol: ConformalSolution):
+    """(w_h, w_A, w_B, w_c, w_E): the Jacobian of `residual_vector` at sol
+    on the collocation rows, J d = w_h dh + w_A dA + w_B dB + w_c d_c
+    + w_E d_E, where dh, dA and dB are the surface sums of d_a.
 
-    The surface sums are linear in the coefficients, so those of d_a are
-    dh, dA and dB, and dS = 2 A dA + 2 (1+B) dB. The weights that depend on
-    sol alone are taken once here, for all the products of a GMRES solve.
+    The surface sums are linear in the coefficients, and dS = 2 A dA
+    + 2 (1+B) dB. The weights depend on sol alone, so a Newton iterate takes
+    them once, for all the products of a GMRES solve and for its
+    preconditioner.
     """
     n = sol.mode_count
     c, E, g = sol.c, sol.E, sol.gravity
     h, A, B, S = _surface_sums(sol.coeffs, n)
     excess = E - g * h
-    w_h = -2.0 * g / c**2 * S
-    w_A = 4.0 / c**2 * excess * A
-    w_B = 4.0 / c**2 * excess * (1.0 + B)
-    w_c = -4.0 / c**3 * excess * S
-    w_E = 2.0 / c**2 * S
+    return (-2.0 * g / c**2 * S,
+            4.0 / c**2 * excess * A,
+            4.0 / c**2 * excess * (1.0 + B),
+            -4.0 / c**3 * excess * S,
+            2.0 / c**2 * S)
+
+
+def _jvp_operator(sol: ConformalSolution, weights=None):
+    """d -> J d for the Jacobian of `residual_vector` at sol, without
+    forming J, from the `_weights` of sol (taken here if not given)."""
+    n = sol.mode_count
+    w_h, w_A, w_B, w_c, w_E = _weights(sol) if weights is None else weights
 
     def jv(d: np.ndarray) -> np.ndarray:
         dh, dA, dB, _ = _surface_sums(d[:n], n)
@@ -215,21 +236,96 @@ def _jvp_operator(sol: ConformalSolution):
     return jv
 
 
-def _gmres(sol: ConformalSolution, r: np.ndarray, lu_piv) -> np.ndarray | None:
+def _cosine_coeffs(x: np.ndarray) -> np.ndarray:
+    """Coefficients x^_0..x^_m, along the last axis, of the cosine
+    interpolant x_j = sum_k x^_k cos(k theta_j) of values at theta_j =
+    j pi / m: the DCT-I divided by m with the first and last coefficients
+    halved, taken as one real FFT of the even extension."""
+    m = x.shape[-1] - 1
+    even = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
+    xh = np.fft.rfft(even).real / m
+    xh[..., [0, m]] *= 0.5
+    return xh
+
+
+def _fourier_preconditioner(weights):
+    """v -> M^-1 v for the constant-coefficient model M of the Jacobian
+    with these `_weights`, or None if M is singular or not finite.
+
+    M keeps the c and E columns and the steepness row of J exactly. On the
+    mode columns it replaces w_h and w_B by their trapezoid means and drops
+    w_A, so that in cosine space (`_cosine_coeffs` of the collocation rows)
+    mode k only moves coefficient k, by m_k = mean(w_h) + k mean(w_B)
+    (Yang, J. Comput. Phys. 228, 2009). Modes 0 and 1 and the steepness row
+    give three equations for (d_1, d_c, d_E); m_1 is not divided by, since
+    it vanishes on the flat stream. Then d_k = (r^_k - w^_c,k d_c
+    - w^_E,k d_E) / m_k for k >= 2. One application is one real FFT of
+    length 2N and O(N) work.
+    """
+    w_h, _, w_B, w_c, w_E = weights
+    n = w_h.size - 1
+    hat_h, hat_b, wc, we = _cosine_coeffs(np.stack([w_h, w_B, w_c, w_E]))
+    mean_h, mean_b = hat_h[0], hat_b[0]  # trapezoid means
+    k = np.arange(2.0, n + 1.0)
+    with np.errstate(all="ignore"):  # a model that is not finite declines
+        inv_m = 1.0 / (mean_h + k * mean_b)
+        odd = inv_m / np.pi  # steepness row eliminated over k >= 2 ...
+        odd[0::2] = 0.0  # ... where only odd k enter
+        model = np.array([
+            [0.0, wc[0], we[0]],
+            [mean_h + mean_b, wc[1], we[1]],
+            [1.0 / np.pi, -odd @ wc[2:], -odd @ we[2:]],
+        ])
+        try:
+            inv3 = np.linalg.inv(model)
+        except np.linalg.LinAlgError:  # exactly singular
+            return None
+    # Any entry of the weights that is not finite reaches inv3 through
+    # inv_m or through the sums over odd, whose zeros do not mask it.
+    if not (np.all(np.isfinite(inv_m)) and np.all(np.isfinite(inv3))):
+        return None
+    wc, we = wc[2:], we[2:]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        rh = _cosine_coeffs(v[: n + 1])
+        d1, dc, de = inv3 @ (rh[0], rh[1], v[n + 1] - odd @ rh[2:])
+        out = np.empty(n + 2)
+        out[0] = d1
+        out[1:n] = (rh[2:] - dc * wc - de * we) * inv_m
+        out[n], out[n + 1] = dc, de
+        return out
+
+    return apply
+
+
+def _lu_preconditioner(lu_piv):
+    """v -> M^-1 v for the LU factors `lu_piv` of a nearby Jacobian, in the
+    precision they are held in."""
+    lu, piv = lu_piv
+    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        z, _ = getrs(lu, piv, v.astype(lu.dtype), overwrite_b=True)
+        return z
+
+    return apply
+
+
+def _gmres(sol: ConformalSolution, r: np.ndarray, precond,
+           weights=None) -> np.ndarray | None:
     """Newton step delta with ||J delta + r||_2 <= _FORCING ||r||_2, or None.
 
     Flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993) from delta = 0,
-    right-preconditioned by the LU factors `lu_piv` of a nearby Jacobian, in
-    the precision they are held in: at most _KRYLOV_MAX iterations, no
-    restart. The preconditioned directions z_j = M^-1 v_j are kept and
-    delta = Z y, so the forcing test holds for the returned step although a
-    single-precision M is not exactly linear, and no final solve with M is
-    needed. The Arnoldi basis is orthogonalized by classical Gram-Schmidt,
-    twice, and the least-squares residual is tracked by Givens rotations.
+    right-preconditioned by the callable ``precond`` (`_lu_preconditioner`
+    or `_fourier_preconditioner`), with J.v from `_jvp_operator` at sol
+    and ``weights``: at most _KRYLOV_MAX iterations, no restart. The
+    preconditioned directions z_j = M^-1 v_j are kept and delta = Z y, so
+    the forcing test holds for the returned step although a single-precision
+    M is not exactly linear, and no final solve with M is needed. The
+    Arnoldi basis is orthogonalized by classical Gram-Schmidt, twice, and
+    the least-squares residual is tracked by Givens rotations.
     """
-    lu, piv = lu_piv
-    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
-    jv = _jvp_operator(sol)
+    jv = _jvp_operator(sol, weights)
     beta = float(np.linalg.norm(r))
     m = _KRYLOV_MAX
     V = np.empty((m + 1, r.size))
@@ -240,7 +336,7 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, lu_piv) -> np.ndarray | None:
     g[0] = beta
     np.divide(r, -beta, out=V[0])
     for j in range(m):
-        Z[j], _ = getrs(lu, piv, V[j].astype(lu.dtype), overwrite_b=True)
+        Z[j] = precond(V[j])
         w = jv(Z[j])
         col = R[: j + 1, j]
         for _ in range(2):
@@ -361,13 +457,18 @@ def newton_solve(
     Damped inexact Newton: every iteration is one Newton step delta, halved
     (at most 8 times) until the max-norm residual decreases, and counts
     toward ``newton_max_iter`` and in ``diagnostics``. The step is first
-    sought by flexible GMRES with J.v matrix-free, right-preconditioned by
-    the LU factors held in ``factors``; it is taken once ||J delta + r||_2
-    <= 1e-3 ||r||_2. If no factors of order N+2 are held, or GMRES misses
-    that test within 20 iterations, the held factors are dropped, the
-    analytic Jacobian is built and factored at the current iterate, delta is
-    the direct solve with those factors, and the holder is refreshed with a
-    single-precision copy of them.
+    sought by flexible GMRES with J.v matrix-free, taken once ||J delta +
+    r||_2 <= 1e-3 ||r||_2, and right-preconditioned by the LU factors held
+    in ``factors`` if they are of order N+2, or else, if no factors at all
+    are held and N >= 1024, by the Fourier multiplier built at the current
+    iterate. If neither applies, the Fourier model system is singular or
+    not finite, or GMRES misses the forcing test within 20 iterations, the
+    held factors are dropped, the analytic Jacobian is built and factored
+    at the current iterate, delta is the direct solve with those factors,
+    and the holder is refreshed with a single-precision copy of them. Held
+    factors go first because near the limiting wave they need far fewer
+    GMRES iterations than the Fourier model; below 1024 modes only the
+    dense path runs.
     ``factors`` is a `_Factors` holder that a caller such as
     `continue_family` passes to consecutive solves so that they share one
     factorization; None gives a holder local to this call.
@@ -418,7 +519,12 @@ def newton_solve(
                 f"(residual {rmax:.3e})", iters, rmax)
         delta = None
         if held.lu is not None and held.lu[0].shape[0] == n + 2:
-            delta = _gmres(sol, r, held.lu)
+            delta = _gmres(sol, r, _lu_preconditioner(held.lu))
+        elif held.lu is None and n >= _FOURIER_MIN_MODES:
+            weights = _weights(sol)
+            precond = _fourier_preconditioner(weights)
+            if precond is not None:
+                delta = _gmres(sol, r, precond, weights)
         if delta is None:
             # Let the held factors go first: one N^2 array at a time, not two.
             held.lu = None

@@ -200,3 +200,19 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
     assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
         0.135, 0.13687500000000002)
     assert len(jacs) <= 100
+
+
+def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
+    # A walk step whose solve and half-stride retry both failed fails again
+    # from the same anchor: every walk solve starts without held factors.
+    seen = []
+    real = spectral_solver.newton_solve
+
+    def logged(guess, s_target, cfg, *args, **kwargs):
+        seen.append((guess.coeffs.tobytes(), guess.c, guess.E, s_target))
+        return real(guess, s_target, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_solver, "newton_solve", logged)
+    assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
+        0.135, 0.13687500000000002)
+    assert len(seen) == len(set(seen))

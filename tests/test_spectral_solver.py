@@ -235,10 +235,13 @@ def test_newton_small_wave_iteration_count(cfg64):
 
 
 def test_newton_flat_converges_without_stepping(cfg64):
-    diag = {}
-    sol = newton_solve(initial_guess(0.0, cfg64), 0.0, cfg64, diagnostics=diag)
-    assert diag["iterations"] == 0
-    assert np.all(sol.coeffs == 0.0)
+    # At 1024 modes too, where a step would try the Fourier preconditioner.
+    for cfg in (cfg64, WaveConfig(mode_count=1024)):
+        diag = {}
+        sol = newton_solve(initial_guess(0.0, cfg), 0.0, cfg,
+                           diagnostics=diag)
+        assert diag["iterations"] == 0
+        assert np.all(sol.coeffs == 0.0)
 
 
 def test_newton_rejects_hopeless_jump(sol_005):
@@ -426,12 +429,13 @@ def test_jvp_matches_dense_jacobian(family_n256, sol_010):
 
 def test_krylov_steps_meet_the_forcing_test(monkeypatch):
     # Every step GMRES returns is checked against the dense Jacobian at the
-    # iterate it was taken from.
+    # iterate it was taken from, with LU factors and, at 1024 modes, with
+    # the Fourier preconditioner.
     checked = []
     real = spectral_solver._gmres
 
-    def audited(sol, r, lu_piv):
-        delta = real(sol, r, lu_piv)
+    def audited(sol, r, *precond):
+        delta = real(sol, r, *precond)
         if delta is not None:
             defect = np.linalg.norm(jacobian(sol, 0.0) @ delta + r)
             assert defect <= spectral_solver._FORCING * np.linalg.norm(r)
@@ -442,7 +446,8 @@ def test_krylov_steps_meet_the_forcing_test(monkeypatch):
     continue_family(0.01, 0.10, WaveConfig(mode_count=256))
     # The walk to the 128-mode cap ends in solves that contract poorly.
     continue_family(0.01, 0.2, WaveConfig(mode_count=64), max_modes=128)
-    assert len(checked) > 20 and set(checked) == {64, 128, 256}
+    continue_family(0.01, 0.10, WaveConfig(mode_count=1024), max_modes=1024)
+    assert len(checked) > 20 and set(checked) == {64, 128, 256, 1024}
 
 
 def test_stale_factors_refresh_once(monkeypatch, family_n256, sol_013,
@@ -480,14 +485,14 @@ def test_preconditioner_applied_once_per_product(monkeypatch):
             return funcs
         (getrs,) = funcs
 
-        def counted(*args, **kwargs):
-            applies.append(getrs.typecode)
-            return getrs(*args, **kwargs)
+        def counted(lu, *args, **kwargs):
+            applies.append((getrs.typecode, lu.dtype.name, lu.shape))
+            return getrs(lu, *args, **kwargs)
 
         return (counted,)
 
-    def operator(sol):
-        jv = real_operator(sol)
+    def operator(sol, *weights):
+        jv = real_operator(sol, *weights)
 
         def counted(d):
             products.append(sol.mode_count)
@@ -495,19 +500,18 @@ def test_preconditioner_applied_once_per_product(monkeypatch):
 
         return counted
 
-    def gmres(sol, r, lu_piv):
-        held.append((lu_piv[0].dtype.name, lu_piv[0].shape,
-                     sol.mode_count + 2))
-        return real_gmres(sol, r, lu_piv)
+    def gmres(sol, r, *precond):
+        held.append(sol.mode_count + 2)
+        return real_gmres(sol, r, *precond)
 
     monkeypatch.setattr(spectral_solver, "get_lapack_funcs", lookup)
     monkeypatch.setattr(spectral_solver, "_jvp_operator", operator)
     monkeypatch.setattr(spectral_solver, "_gmres", gmres)
     continue_family(0.01, 0.10, WaveConfig(mode_count=256))
     assert len(held) > 20
-    assert set(held) == {("float32", (258, 258), 258)}
+    assert set(held) == {258}
     assert len(applies) == len(products) > len(held)
-    assert set(applies) == {"s"}
+    assert set(applies) == {("s", "float32", (258, 258))}
 
 
 def test_no_quadratic_state_outlives_its_results(sol_005):
@@ -557,6 +561,101 @@ def test_continuation_jacobian_budget(monkeypatch):
                           max_modes=256)
     assert len(jacs) <= 3
     assert sum(m.newton_iters for m in fam.members) > len(jacs)
+
+
+def _constant_coefficient_model(sol):
+    # The dense matrix the Fourier preconditioner claims to invert: J with
+    # w_h and w_B replaced by their trapezoid means on the mode columns and
+    # w_A dropped; the c and E columns and the steepness row exact.
+    n = sol.mode_count
+    w_h, _, w_B, w_c, w_E = spectral_solver._weights(sol)
+    theta, k = collocation_angles(n), np.arange(1.0, n + 1.0)
+
+    def trapezoid_mean(w):
+        return (w.sum() - 0.5 * (w[0] + w[-1])) / n
+
+    M = np.zeros((n + 2, n + 2))
+    M[: n + 1, :n] = ((trapezoid_mean(w_h) + k * trapezoid_mean(w_B))
+                      * np.cos(np.outer(theta, k)))
+    M[: n + 1, n] = w_c
+    M[: n + 1, n + 1] = w_E
+    M[n + 1, 0:n:2] = 1.0 / np.pi
+    return M
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_fourier_preconditioner_inverts_its_model(sol_013, rng, n):
+    # The flat stream's linear guess at s = 0.01 has m_1 = 0 to within
+    # O(s^2), which a 2x2 elimination through m_1 would divide by.
+    cfg = WaveConfig(mode_count=n)
+    steep = ConformalSolution(c=sol_013.c, E=sol_013.E,
+                              coeffs=sol_013.coeffs[:n],
+                              gravity=sol_013.gravity)
+    for sol in (initial_guess(0.01, cfg), steep):
+        M = _constant_coefficient_model(sol)
+        apply = spectral_solver._fourier_preconditioner(
+            spectral_solver._weights(sol))
+        for _ in range(4):
+            v = rng.standard_normal(n + 2)
+            z = apply(v)
+            assert np.linalg.norm(M @ z - v) <= 1e-12 * np.linalg.norm(v)
+            x = np.linalg.solve(M, v)
+            assert np.linalg.norm(z - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_fourier_path_builds_no_jacobian(monkeypatch):
+    # Counts and bytes, not timings: from 1024 modes a walk that holds no
+    # factors preconditions GMRES with the Fourier model, so it builds no
+    # Jacobian and never holds an N^2 array, not even the float32 factors.
+    jacs = _count_jacobians(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fam = continue_family(0.01, 0.10, WaveConfig(mode_count=1024),
+                              max_modes=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jacs == []
+    assert fam.stop_reason == "reached_stop"
+    assert fam.last.solution.mode_count == 1024
+    assert all(m.residual_norm <= 1e-12 for m in fam.members)
+    assert peak < 1026**2 * 4
+
+
+@pytest.mark.parametrize("poison", [
+    lambda w: (np.full_like(w[0], np.nan),) + w[1:],  # not finite
+    lambda w: tuple(0.0 * x for x in w),  # every multiplier m_k zero
+    lambda w: w[:3] + (0.0 * w[3], 0.0 * w[4]),  # singular 3x3 system
+])
+def test_fourier_declines_to_the_dense_step(monkeypatch, poison):
+    # A model system that cannot be solved gives no preconditioner, and the
+    # solve takes the dense step at the same iterate.
+    cfg = WaveConfig(mode_count=1024)
+    guess = initial_guess(0.01, cfg)
+    built = []
+    real = spectral_solver._fourier_preconditioner
+
+    def poisoned(weights):
+        built.append(real(poison(weights)))
+        return built[-1]
+
+    monkeypatch.setattr(spectral_solver, "_fourier_preconditioner", poisoned)
+    jacs = _count_jacobians(monkeypatch)
+    sol = newton_solve(guess, 0.01, cfg)
+    assert built == [None] and jacs == [1024]
+    assert steepness(sol) == pytest.approx(0.01, abs=1e-14)
+
+    exact = spectral_solver.jacobian
+
+    def non_finite(sol, s_target):
+        J = exact(sol, s_target)
+        J[3, 5] = np.nan
+        return J
+
+    monkeypatch.setattr(spectral_solver, "jacobian", non_finite)
+    with pytest.raises(SingularJacobian, match="non-finite"):
+        newton_solve(guess, 0.01, cfg)
 
 
 def test_tail_ratio_consistency(family_n256):
