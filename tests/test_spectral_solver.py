@@ -514,6 +514,25 @@ def test_preconditioner_applied_once_per_product(monkeypatch):
     assert set(applies) == {("s", "float32", (258, 258))}
 
 
+def test_back_substitution_matches_lapack_bit_for_bit():
+    # GMRES's triangular solve must keep the bits of LAPACK's trtrs, which
+    # it replaced: np.linalg.solve agreed on few such systems and moved
+    # s_max. The systems are laid out as GMRES holds them, the leading
+    # block of a 20x20 array with a positive diagonal.
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(13)
+    m = spectral_solver._KRYLOV_MAX
+    for _ in range(2000):
+        n = int(rng.integers(1, m + 1))
+        R = np.triu(rng.standard_normal((m, m)))
+        R[np.diag_indices(m)] = np.abs(np.diag(R)) + 1e-3
+        g = rng.standard_normal(n)
+        want = solve_triangular(R[:n, :n], g)
+        got = spectral_solver._back_substitute(R[:n, :n], g.copy())
+        assert np.array_equal(got, want)
+
+
 def test_no_quadratic_state_outlives_its_results(sol_005):
     # A 1024-mode Jacobian and a 512-mode continuation leave nothing of
     # size N^2 alive in the module once their results are dropped: no trig

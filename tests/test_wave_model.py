@@ -71,6 +71,16 @@ def test_config_explicit_depth_wins():
     {"excision_radius": -0.1},
     {"crest_indicator_threshold": -0.2},
     {"crest_indicator_threshold": 1.5},
+    # counts must be integers, and no numeric field takes a bool
+    {"mode_count": 64.5},
+    {"mode_count": 64.0},
+    {"newton_max_iter": 2.5},
+    {"grid_nq": 16.5},
+    {"grid_np": 8.0},
+    {"gravity": True},
+    {"newton_max_iter": True},
+    {"surface_pressure": False},
+    {"excision_radius": np.False_},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidConfig):
