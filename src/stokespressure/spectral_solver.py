@@ -14,7 +14,7 @@ chosen in this order:
 
 1. a single-precision copy of the LU factors of the last dense Jacobian,
    when factors of order N+2 are held;
-2. when no factors at all are held and N >= 1024, a Fourier multiplier: the
+2. when no factors at all are held and N >= 256, a Fourier multiplier: the
    constant-coefficient model of J, diagonal in cosine space on the mode
    columns, applied by one real FFT without any N^2 array;
 3. neither, or GMRES misses the forcing test within 20 iterations: the
@@ -23,13 +23,17 @@ chosen in this order:
 
 The dense path stays because the Fourier model alone is a weak
 preconditioner near the limiting wave, where GMRES then needs many times the
-iterations, and because below N = 1024 a dense J and LU cost less than the
-Fourier path's extra iterations. A continuation in steepness walks the
-family from the linear regime toward the limiting wave, carrying the factors
-from member to member: each target is tried first from a secant-predicted
-guess, then from the previous member as a warm start; the step is halved on
-failed solves and the mode count doubled when the coefficient tail stops
-being resolved.
+iterations. From N = 256 a solve that holds no factors skips the dense J and
+LU (5 ms at N = 256, 19 ms at N = 512, one BLAS thread) and the SciPy import
+that the first dense step pays; a Fourier build and apply cost about 0.2 ms
+and 0.04 ms there. Below N = 256 the dense step is cheap: `estimate_limit`
+and a default continuation take it at their 128-mode start and hold LU
+factors from then on, so their results keep their bits. A continuation in
+steepness walks the family from the linear regime toward the limiting wave,
+carrying the factors from member to member: each target is tried first from
+a secant-predicted guess, then from the previous member as a warm start; the
+step is halved on failed solves and the mode count doubled when the
+coefficient tail stops being resolved.
 
 Only the dense step and the held factors need LAPACK beyond NumPy (`lange`,
 `lu_factor`, `gecon`, `lu_solve`, `getrs`); GMRES solves its small
@@ -80,7 +84,7 @@ _RCOND_FLOOR = 1e-14
 _MAX_DAMPINGS = 8
 _FORCING = 1e-3  # a Krylov step must cut ||J delta + r||_2 by this factor
 _KRYLOV_MAX = 20  # GMRES iterations before the preconditioner is refreshed
-_FOURIER_MIN_MODES = 1024  # N from which a solve without factors tries Fourier
+_FOURIER_MIN_MODES = 256  # N from which a solve without factors tries Fourier
 _JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
 _MIN_STEP = 1e-5  # continuation step floor
 _S_CEILING = 0.2  # `estimate_limit` target, above any attainable steepness
@@ -492,15 +496,15 @@ def newton_solve(
     sought by flexible GMRES with J.v matrix-free, taken once ||J delta +
     r||_2 <= 1e-3 ||r||_2, and right-preconditioned by the LU factors held
     in ``factors`` if they are of order N+2, or else, if no factors at all
-    are held and N >= 1024, by the Fourier multiplier built at the current
+    are held and N >= 256, by the Fourier multiplier built at the current
     iterate. If neither applies, the Fourier model system is singular or
     not finite, or GMRES misses the forcing test within 20 iterations, the
     held factors are dropped, the analytic Jacobian is built and factored
     at the current iterate, delta is the direct solve with those factors,
     and the holder is refreshed with a single-precision copy of them. Held
     factors go first because near the limiting wave they need far fewer
-    GMRES iterations than the Fourier model; below 1024 modes only the
-    dense path runs.
+    GMRES iterations than the Fourier model; below 256 modes a solve that
+    holds no factors takes the dense step.
     ``factors`` is a `_Factors` holder that a caller such as
     `continue_family` passes to consecutive solves so that they share one
     factorization; None gives a holder local to this call.

@@ -60,7 +60,7 @@ class WaveConfig:
     grids; ``None`` resolves to one conformal wavelength of depth, -2*pi*c,
     at evaluation time (deeper rows are uniform flow to ~1e-11). Counts
     (``mode_count``, ``newton_max_iter``, ``grid_nq``, ``grid_np``) must be
-    integers, and no field takes a bool.
+    integers, every value must be finite, and no field takes a bool.
     """
 
     gravity: float = 1.0
@@ -81,8 +81,11 @@ class WaveConfig:
                 raise InvalidConfig(f"{f.name} must be a number, not a bool")
             if f.name in _COUNT_FIELDS and not isinstance(value, Integral):
                 raise InvalidConfig(f"{f.name} must be an integer")
-        if not (self.gravity > 0.0 and np.isfinite(self.gravity)):
-            raise InvalidConfig("gravity must be positive and finite")
+            if not (value is None or isinstance(value, Integral)
+                    or np.isfinite(value)):
+                raise InvalidConfig(f"{f.name} must be finite")
+        if not (self.gravity > 0.0):
+            raise InvalidConfig("gravity must be positive")
         if not (self.newton_tol > 0.0):
             raise InvalidConfig("newton_tol must be positive")
         if self.newton_max_iter < 1:

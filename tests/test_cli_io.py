@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -64,9 +65,13 @@ def test_load_config_rejects_non_object(tmp_path):
 
 def test_load_config_rejects_bad_values(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"gravity": -9.8}))
-    with pytest.raises(CliInputError):
-        load_config(path)
+    # JSON has no infinities or NaN, but Python's parser takes these tokens
+    for text in ['{"gravity": -9.8}', '{"newton_tol": Infinity}',
+                 '{"surface_pressure": NaN}', '{"surface_pressure": -Infinity}',
+                 '{"excision_radius": Infinity}', '{"grid_depth": -Infinity}']:
+        path.write_text(text)
+        with pytest.raises(CliInputError):
+            load_config(path)
 
 
 # --- persistence -------------------------------------------------------------
@@ -392,7 +397,7 @@ seen["verify"] = scipy_loaded()
 seen["fields_code"] = cli_io.main(["fields", "--solution", wave,
                                    "--grid", "16x8", "--out", out + "/fields"])
 seen["fields"] = scipy_loaded()
-for n in (1024, 64):  # the Fourier path, then the dense step
+for n in (1024, 256, 64):  # the Fourier path twice, then the dense step
     cfg = WaveConfig(mode_count=n)
     newton_solve(initial_guess(0.01, cfg), 0.01, cfg)
     seen[f"solve_{n}"] = scipy_loaded()
@@ -401,9 +406,9 @@ print(json.dumps(seen))
 
 
 def test_cold_start_loads_scipy_only_for_a_dense_step(sol_005, tmp_path):
-    # In a fresh interpreter, importing the package, verify, fields and a
-    # 1024-mode solve on the Fourier path leave SciPy unloaded; a 64-mode
-    # solve, which takes the dense step, loads it.
+    # In a fresh interpreter, importing the package, verify, fields and
+    # 1024- and 256-mode solves on the Fourier path leave SciPy unloaded; a
+    # 64-mode solve, which takes the dense step, loads it.
     wave = tmp_path / "solution.json"
     save_solution(sol_005, wave)
     src = str(Path(stokespressure.__file__).resolve().parents[1])
@@ -416,7 +421,7 @@ def test_cold_start_loads_scipy_only_for_a_dense_step(sol_005, tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import": False, "verify_code": 0, "verify": False,
                     "fields_code": 0, "fields": False, "solve_1024": False,
-                    "solve_64": True}
+                    "solve_256": False, "solve_64": True}
 
 
 # --- exit codes --------------------------------------------------------------
@@ -431,10 +436,14 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [{"mode_count": 64.5},
                                  {"newton_max_iter": 2.5},
-                                 {"gravity": True}])
+                                 {"gravity": True},
+                                 {"newton_tol": math.inf},
+                                 {"surface_pressure": math.nan},
+                                 {"excision_radius": math.inf}])
 def test_exit_2_on_bad_config_value(tmp_path, doc):
-    # A fractional count or a bool where a number belongs is refused before
-    # any solve: no traceback, no "no convergence in 2.5 iterations".
+    # A fractional count, a bool where a number belongs or a non-finite
+    # value is refused before any solve: no traceback, no "no convergence in
+    # 2.5 iterations", no "continuation stalled" and no null in solution.json.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"

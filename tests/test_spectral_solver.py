@@ -429,8 +429,8 @@ def test_jvp_matches_dense_jacobian(family_n256, sol_010):
 
 def test_krylov_steps_meet_the_forcing_test(monkeypatch):
     # Every step GMRES returns is checked against the dense Jacobian at the
-    # iterate it was taken from, with LU factors and, at 1024 modes, with
-    # the Fourier preconditioner.
+    # iterate it was taken from, with LU factors at 64 and 128 modes and,
+    # at 256 and 1024 modes, with the Fourier preconditioner.
     checked = []
     real = spectral_solver._gmres
 
@@ -507,11 +507,12 @@ def test_preconditioner_applied_once_per_product(monkeypatch):
     monkeypatch.setattr(spectral_solver, "get_lapack_funcs", lookup)
     monkeypatch.setattr(spectral_solver, "_jvp_operator", operator)
     monkeypatch.setattr(spectral_solver, "_gmres", gmres)
-    continue_family(0.01, 0.10, WaveConfig(mode_count=256))
+    # Below _FOURIER_MIN_MODES, so every Krylov step runs on held LU factors.
+    continue_family(0.01, 0.10, WaveConfig(mode_count=128), max_modes=128)
     assert len(held) > 20
-    assert set(held) == {258}
+    assert set(held) == {130}
     assert len(applies) == len(products) > len(held)
-    assert set(applies) == {("s", "float32", (258, 258))}
+    assert set(applies) == {("s", "float32", (130, 130))}
 
 
 def test_back_substitution_matches_lapack_bit_for_bit():
@@ -533,11 +534,14 @@ def test_back_substitution_matches_lapack_bit_for_bit():
         assert np.array_equal(got, want)
 
 
-def test_no_quadratic_state_outlives_its_results(sol_005):
+def test_no_quadratic_state_outlives_its_results(sol_005, monkeypatch):
     # A 1024-mode Jacobian and a 512-mode continuation leave nothing of
     # size N^2 alive in the module once their results are dropped: no trig
     # tables, no LU factors. The bound is a tenth of the smallest such
-    # array, the float32 factors of order 514.
+    # array, the float32 factors of order 514. The continuation is kept on
+    # the dense path, which a 512-mode solve otherwise takes only after a
+    # GMRES miss, so that it does hold such factors while it runs.
+    monkeypatch.setattr(spectral_solver, "_FOURIER_MIN_MODES", 1024)
     gc.collect()
     tracemalloc.start()
     try:
@@ -573,11 +577,12 @@ def test_dense_newton_agrees_with_krylov_steps(family_n256, monkeypatch):
 
 def test_continuation_jacobian_budget(monkeypatch):
     # Counts, not timings: the continuation carries one factorization from
-    # member to member as GMRES preconditioner, so a 256-mode walk builds a
-    # few Jacobians for all of its Newton iterations.
+    # member to member as GMRES preconditioner, so a 128-mode walk (below
+    # _FOURIER_MIN_MODES) builds a few Jacobians for all of its Newton
+    # iterations.
     jacs = _count_jacobians(monkeypatch)
-    fam = continue_family(0.01, 0.10, WaveConfig(mode_count=256),
-                          max_modes=256)
+    fam = continue_family(0.01, 0.10, WaveConfig(mode_count=128),
+                          max_modes=128)
     assert len(jacs) <= 3
     assert sum(m.newton_iters for m in fam.members) > len(jacs)
 
@@ -622,24 +627,25 @@ def test_fourier_preconditioner_inverts_its_model(sol_013, rng, n):
             assert np.linalg.norm(z - x) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_fourier_path_builds_no_jacobian(monkeypatch):
-    # Counts and bytes, not timings: from 1024 modes a walk that holds no
+@pytest.mark.parametrize("n", [256, 1024])
+def test_fourier_path_builds_no_jacobian(monkeypatch, n):
+    # Counts and bytes, not timings: from 256 modes a walk that holds no
     # factors preconditions GMRES with the Fourier model, so it builds no
     # Jacobian and never holds an N^2 array, not even the float32 factors.
     jacs = _count_jacobians(monkeypatch)
     gc.collect()
     tracemalloc.start()
     try:
-        fam = continue_family(0.01, 0.10, WaveConfig(mode_count=1024),
-                              max_modes=1024)
+        fam = continue_family(0.01, 0.10, WaveConfig(mode_count=n),
+                              max_modes=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert jacs == []
     assert fam.stop_reason == "reached_stop"
-    assert fam.last.solution.mode_count == 1024
+    assert fam.last.solution.mode_count == n
     assert all(m.residual_norm <= 1e-12 for m in fam.members)
-    assert peak < 1026**2 * 4
+    assert peak < (n + 2)**2 * 4
 
 
 @pytest.mark.parametrize("poison", [

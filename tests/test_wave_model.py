@@ -81,6 +81,14 @@ def test_config_explicit_depth_wins():
     {"newton_max_iter": True},
     {"surface_pressure": False},
     {"excision_radius": np.False_},
+    # every value must be finite
+    {"gravity": math.inf},
+    {"surface_pressure": math.nan},
+    {"surface_pressure": -math.inf},
+    {"newton_tol": math.inf},
+    {"grid_depth": -math.inf},
+    {"excision_radius": math.inf},
+    {"crest_indicator_threshold": math.nan},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidConfig):
