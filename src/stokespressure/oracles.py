@@ -1,18 +1,19 @@
 """Slow, independent reference implementations used by the test suite.
 
-Nothing here shares numerical code with the paths it checks: series values
-are re-summed term by term in extended precision, the Bernoulli surface
-defect is summed densely at arbitrary angles, derivatives are obtained
-by finite differences instead of term-wise differentiation, the
-small-amplitude wave is written down in closed form, and the limiting
-steepness is re-bracketed by plain bisection with a finer solver budget than
-the continuation it cross-validates.
+Series values are re-summed term by term in extended precision, the
+Bernoulli surface defect is summed densely at arbitrary angles, derivatives
+are obtained by finite differences instead of term-wise differentiation, and
+the small-amplitude wave is written down in closed form; none of these
+shares numerical code with the paths it checks. The limiting steepness is
+re-bracketed on the solver's own continuation and Newton solves: there the
+independence is twice the continuation's mode budget, halved Newton
+tolerance and tail bound, and plain bisection.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,10 @@ def weakly_nonlinear_speed(s: float, g: float = 1.0) -> float:
     return math.sqrt(g) * (1.0 + 0.5 * (math.pi * s) ** 2)
 
 
+_WALK_START = 0.01  # first member of `limit_bracket`'s walk
+_WALK_STEP = 0.002  # first continuation step of that walk
+
+
 def _resolved_at_budget(sol: ConformalSolution, judge_index: int, limit: float) -> bool:
     a = np.abs(sol.coeffs)
     amax = float(a.max())
@@ -197,18 +202,20 @@ def limit_bracket(
     lo: float = 0.12,
     hi: float = 0.15,
     max_probes: int = 14,
-    ministep: float = 0.002,
-    time_budget: float | None = None,
 ) -> tuple[float, float]:
     """Bracket the largest resolvable steepness by plain bisection.
 
-    Independent cross-check for the continuation-based limit estimate: each
-    probe steepness is solved afresh at twice ``est_mode_cap`` modes with
-    halved Newton tolerance, and counts as reachable only if the coefficient
-    at index ``est_mode_cap`` of that finer solution still satisfies the
-    (halved) tail-decay bound. Bisection stops once hi - lo <= target_width
-    or the probe budget runs out; either way [lo, hi] is an honest bracket:
-    lo was reached at the oracle budget and hi was refuted at it.
+    Cross-check for the continuation-based limit estimate. One
+    `continue_family` run, with halved Newton tolerance and no tail test at
+    half ``est_mode_cap`` modes (256 to twice the cap), walks from s = 0.01
+    toward 0.2. A probe takes its member at s, or solves at s from the
+    secant through the members around it, then solves again at twice
+    ``est_mode_cap`` modes. It is reached if the coefficient at index
+    ``est_mode_cap`` still meets the halved tail-decay bound, and refuted
+    otherwise, also past the walk's reach or when a solve fails (ROADMAP
+    item 1). Bisection stops at hi - lo <= target_width or when the probes
+    run out; lo was probed and reached, hi probed and refuted. Raises
+    RuntimeError, naming the probes made, if there is no such pair.
     """
     from . import spectral_solver as ss
 
@@ -219,92 +226,59 @@ def limit_bracket(
     tol = cfg.newton_tol / 2.0
     tail_limit = TAIL_DECAY_RATIO / 2.0
     walk_modes = min(max(256, modes // 4), modes)
-    probe_cfg = replace(cfg, newton_tol=tol, mode_count=min(64, modes))
-    t0 = time.monotonic()
+    walk_cfg = replace(cfg, newton_tol=tol, mode_count=walk_modes)
+    walk = ss.continue_family(
+        _WALK_START, ss._S_CEILING, walk_cfg, initial_step=_WALK_STEP,
+        max_modes=walk_modes, tail_limit=np.inf).members
+    reach = [m.steepness for m in walk]
 
-    def out_of_budget():
-        return time_budget is not None and time.monotonic() - t0 > time_budget
-
-    # Anchor store: steepness -> solution at walk resolution.
-    anchors: dict[float, ConformalSolution] = {}
-    # Walk steps (anchor, target) whose solve and retry both failed. An
-    # anchor never changes once set and each solve starts without held
-    # factors, so solving such a step again would repeat the failure.
-    failed: set[tuple[float, float]] = set()
-
-    def nearest_anchor(s: float):
-        below = [a for a in anchors if a <= s + 1e-12]
-        if not below:
-            return None
-        key = max(below)
-        return key, anchors[key]
-
-    def walk_to(s: float) -> ConformalSolution | None:
-        """Advance the anchor chain to steepness s at walk resolution."""
-        found = nearest_anchor(s)
-        if found is None:
-            sol = ss.initial_guess(0.01, replace(probe_cfg, mode_count=64))
-            sol = ss.newton_solve(sol, 0.01, probe_cfg, tail_limit=np.inf)
-            anchors[0.01] = sol
-            cur = 0.01
-        else:
-            cur, sol = found
-        while cur < s - 1e-12:
-            nxt = min(cur + ministep, s)
-            if (cur, nxt) in failed:
-                return None
-            guess = (sol if sol.coeffs.size >= walk_modes
-                     else ss._pad_modes(sol, walk_modes))
-            try:
-                sol = ss.newton_solve(guess, nxt, probe_cfg, tail_limit=np.inf)
-            except ss.SolverError:
-                if guess.coeffs.size < walk_modes:
-                    return None
-                try:  # one retry at half the stride
-                    sol = ss.newton_solve(guess, 0.5 * (cur + nxt), probe_cfg,
-                                          tail_limit=np.inf)
-                    cur = 0.5 * (cur + nxt)
-                    anchors[cur] = sol
-                    continue
-                except ss.SolverError:
-                    failed.add((cur, nxt))
-                    return None
-            cur = nxt
-            anchors[cur] = sol
-        return sol
-
-    def probe(s: float) -> bool:
-        sol = walk_to(s)
-        if sol is None:
-            return False
+    def reached(s: float) -> bool:
+        i = bisect.bisect_left(reach, s - tol)
+        if i == len(reach):
+            return False  # beyond the walk's reach
         try:
-            fine = ss.newton_solve(ss._pad_modes(sol, modes), s, probe_cfg,
+            if reach[i] <= s + tol:
+                sol = walk[i].solution
+            else:
+                sol = (walk[0].solution if i == 0 else ss._secant_guess(
+                    walk[i - 1].solution, reach[i - 1], walk[i].solution,
+                    reach[i], s))
+                if sol is None:
+                    return False
+                sol = ss.newton_solve(sol, s, walk_cfg, tail_limit=np.inf)
+            fine = ss.newton_solve(ss._pad_modes(sol, modes), s, walk_cfg,
                                    tail_limit=np.inf)
         except ss.SolverError:
             return False
         return _resolved_at_budget(fine, int(est_mode_cap), tail_limit)
 
-    probes = 0
+    log: dict[float, bool] = {}  # probed steepness -> reached
 
-    def budgeted_probe(s: float) -> bool:
-        nonlocal probes
-        probes += 1
-        return probe(s)
+    def no_window(why: str) -> RuntimeError:
+        made = ", ".join(f"{p!r} {'reached' if ok else 'refuted'}"
+                         for p, ok in log.items())
+        return RuntimeError(f"no bracket: {why}; probes made: {made}")
 
-    # Establish the window: lo must be reachable, hi refuted.
-    while not budgeted_probe(lo):
-        hi = lo
-        lo = max(lo - 0.015, 0.01)
-        if probes >= max_probes or out_of_budget() or lo <= 0.011:
-            return (lo, hi)
-    while budgeted_probe(hi):
-        lo = hi
-        hi = min(hi + 0.015, 0.2)
-        if probes >= max_probes or out_of_budget() or hi >= 0.2:
-            return (lo, hi)
-    while hi - lo > target_width and probes < max_probes and not out_of_budget():
+    def probe(s: float) -> bool:
+        if s not in log:
+            if len(log) >= max_probes:
+                raise no_window(f"{max_probes} probes spent before a reached "
+                                "lo and a refuted hi were both known")
+            log[s] = reached(s)
+        return log[s]
+
+    # Establish the window: lo must be reached, hi refuted.
+    while not probe(lo):
+        if lo <= _WALK_START:
+            raise no_window(f"not even s = {lo!r} was reached")
+        lo, hi = max(lo - 0.015, _WALK_START), lo
+    while probe(hi):
+        if hi >= ss._S_CEILING:
+            raise no_window(f"s = {hi!r} was reached")
+        lo, hi = hi, min(hi + 0.015, ss._S_CEILING)
+    while hi - lo > target_width and len(log) < max_probes:
         mid = 0.5 * (lo + hi)
-        if budgeted_probe(mid):
+        if probe(mid):
             lo = mid
         else:
             hi = mid

@@ -405,6 +405,20 @@ class _Factors:
     lu: tuple | None = None  # (lu, piv) of an (N+2)x(N+2) Jacobian, lu float32
 
 
+def _vector(sol: ConformalSolution) -> np.ndarray:
+    """Newton's unknowns (a_1..a_N, c, E) of a wave."""
+    return np.concatenate([sol.coeffs, [sol.c, sol.E]])
+
+
+def _solution(u: np.ndarray, gravity: float,
+              surface_pressure: float) -> ConformalSolution | None:
+    """Wave of unknowns u = (a, c, E); None if u is not finite or c <= 0."""
+    if not np.all(np.isfinite(u)) or u[-2] <= 0.0:
+        return None
+    return ConformalSolution(c=float(u[-2]), E=float(u[-1]), coeffs=u[:-2],
+                             gravity=gravity, surface_pressure=surface_pressure)
+
+
 def midpoint_residual(sol: ConformalSolution) -> float:
     """Largest Bernoulli defect halfway between collocation angles.
 
@@ -521,26 +535,18 @@ def newton_solve(
     n = guess.mode_count
     held = _Factors() if factors is None else factors
 
-    def make(u: np.ndarray) -> ConformalSolution | None:
-        if not np.all(np.isfinite(u)) or u[n] <= 0.0:
-            return None
-        return ConformalSolution(
-            c=float(u[n]), E=float(u[n + 1]), coeffs=u[:n],
-            gravity=cfg.gravity, surface_pressure=cfg.surface_pressure,
-        )
-
     def trial(u_t: np.ndarray):
         """(u_t, solution, residual, max-norm); the norm is inf if u_t or its
         residual is not finite."""
-        sol_t = make(u_t)
+        sol_t = _solution(u_t, cfg.gravity, cfg.surface_pressure)
         if sol_t is None:
             return u_t, None, None, np.inf
         r_t = residual_vector(sol_t, s_target)
         rmax_t = _linf(r_t)
         return u_t, sol_t, r_t, rmax_t if np.isfinite(rmax_t) else np.inf
 
-    u = np.concatenate([guess.coeffs, [guess.c, guess.E]])
-    sol = make(u)
+    u = _vector(guess)
+    sol = _solution(u, cfg.gravity, cfg.surface_pressure)
     if sol is None:
         raise ValueError("initial guess is not evaluable")
     r = residual_vector(sol, s_target)
@@ -601,6 +607,14 @@ def _pad_modes(sol: ConformalSolution, n: int) -> ConformalSolution:
                              surface_pressure=sol.surface_pressure)
 
 
+def _secant_guess(sol_p, s_p, sol, s, target) -> ConformalSolution | None:
+    """The wave on the line through sol_p at steepness s_p and sol at s, at
+    ``target`` and sol's mode count; None unless finite with c > 0."""
+    u, u_p = _vector(sol), _vector(_pad_modes(sol_p, sol.mode_count))
+    return _solution(u + (target - s) / (s - s_p) * (u - u_p),
+                     sol.gravity, sol.surface_pressure)
+
+
 @dataclass(frozen=True)
 class FamilyMember:
     steepness: float
@@ -628,7 +642,7 @@ class ContinuationFamily:
         return self.members[-1]
 
 
-def _solve_target(sol, target, cfg, max_modes, diag_out, factors):
+def _solve_target(sol, target, cfg, max_modes, diag_out, factors, tail_limit):
     """Newton at one target from a warm start, doubling modes as needed;
     TailNotResolved once doubling would pass ``max_modes``."""
     guess = sol
@@ -636,7 +650,7 @@ def _solve_target(sol, target, cfg, max_modes, diag_out, factors):
         diag = {}
         try:
             out = newton_solve(guess, target, cfg, diagnostics=diag,
-                               factors=factors)
+                               tail_limit=tail_limit, factors=factors)
             diag_out.update(diag)
             return out
         except TailNotResolved as exc:
@@ -655,6 +669,7 @@ def continue_family(
     initial_step: float = 0.01,
     max_modes: int = 2048,
     time_budget: float | None = None,
+    tail_limit: float = TAIL_DECAY_RATIO,
 ) -> ContinuationFamily:
     """Walk the family from s_start to s_stop with adaptive steps.
 
@@ -662,10 +677,13 @@ def continue_family(
     ``initial_step`` (at least the floor 1e-5), is halved on a failed solve
     down to that floor and the mode count is doubled, up to ``max_modes``,
     whenever the coefficient tail of a converged solve stops meeting the
-    decay bound. A secant-predicted guess is tried first; the plain warm
-    start is retried only if it does not converge or meets a singular
-    Jacobian, never after a tail rejection at the mode cap, which is final
-    for that target. All solves of the walk share one holder of LU
+    decay bound ``tail_limit`` of `newton_solve` (`TAIL_DECAY_RATIO`, 1e-8,
+    by default). With ``tail_limit=np.inf`` no tail is tested: the mode
+    count stays at cfg.mode_count, and the walk ends only at s_stop, the
+    step floor or the time budget. A secant-predicted guess is tried first;
+    the plain warm start is retried only if it does not converge or meets a
+    singular Jacobian, never after a tail rejection at the mode cap, which
+    is final for that target. All solves of the walk share one holder of LU
     factors, the GMRES preconditioner of `newton_solve`, which each
     refreshes only when it no longer serves. Members are recorded at every
     accepted target; the family ends either at s_stop or at the largest
@@ -685,7 +703,7 @@ def continue_family(
     diag: dict = {}
     factors = _Factors()
     sol = _solve_target(initial_guess(ramp0, cfg), ramp0, cfg, max_modes,
-                        diag, factors)
+                        diag, factors, tail_limit)
     s = ramp0
     members: list[FamilyMember] = []
 
@@ -704,9 +722,6 @@ def continue_family(
     last_failure = None
     prev: tuple[float, ConformalSolution] | None = None
 
-    def vec(sol):
-        return np.concatenate([sol.coeffs, [sol.c, sol.E]])
-
     def predicted(sol, s, target):
         # Secant extrapolation of the unknown vector along the family; cuts
         # the Newton count substantially near the limit. Conservative: only
@@ -721,14 +736,7 @@ def continue_family(
         s_p, sol_p = prev
         if not (s_p < s) or (target - s) > 4.0 * (s - s_p):
             return None
-        u = vec(sol)
-        u_p = vec(_pad_modes(sol_p, sol.mode_count))
-        u_g = u + (target - s) / (s - s_p) * (u - u_p)
-        if not np.all(np.isfinite(u_g)) or u_g[-2] <= 0.0:
-            return None
-        return ConformalSolution(
-            c=float(u_g[-2]), E=float(u_g[-1]), coeffs=u_g[:-2],
-            gravity=cfg.gravity, surface_pressure=cfg.surface_pressure)
+        return _secant_guess(sol_p, s_p, sol, s, target)
 
     while s < s_stop - 1e-14:
         if time_budget is not None and time.monotonic() - t0 > time_budget:
@@ -744,12 +752,12 @@ def continue_family(
             if guess is not None:
                 try:
                     new_sol = _solve_target(guess, target, cfg, max_modes,
-                                            diag, factors)
+                                            diag, factors, tail_limit)
                 except (NonConvergence, SingularJacobian):
                     diag = {}
             if new_sol is None:
                 new_sol = _solve_target(sol, target, cfg, max_modes,
-                                        diag, factors)
+                                        diag, factors, tail_limit)
         except (NonConvergence, SingularJacobian, TailNotResolved) as exc:
             last_failure = exc
             step *= 0.5

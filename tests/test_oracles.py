@@ -187,10 +187,10 @@ def test_limit_bracket_small_budget():
 
 
 def test_limit_bracket_jacobian_budget(monkeypatch):
-    # Counts, not timings: the walk's 256-mode solves start on the Fourier
-    # path and build a Jacobian only after a GMRES miss (20 in all; one per
-    # walk solve would be 75); a dense solve takes its later steps by GMRES
-    # preconditioned with the factors it holds.
+    # Counts, not timings: the walk is one continuation at 256 modes, whose
+    # solves share one holder of factors; it starts on the Fourier path and
+    # builds a Jacobian only after a GMRES miss (4 in all; a fresh holder
+    # per walk solve built 20, and one Jacobian per walk solve would be 75).
     jacs = []
     real = spectral_solver.jacobian
 
@@ -201,20 +201,50 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
     monkeypatch.setattr(spectral_solver, "jacobian", counted)
     assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
         0.135, 0.13687500000000002)
-    assert len(jacs) <= 24
+    assert len(jacs) <= 6
 
 
 def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
-    # A walk step whose solve and half-stride retry both failed fails again
-    # from the same anchor: every walk solve starts without held factors.
-    seen = []
-    real = spectral_solver.newton_solve
+    # The bracket walks with a single continuation; a probe reuses its
+    # members and never repeats a solve. Both returned ends were probed:
+    # each had its fine solve at twice the mode cap.
+    seen, walks = [], []
+    real_solve = spectral_solver.newton_solve
+    real_walk = spectral_solver.continue_family
 
     def logged(guess, s_target, cfg, *args, **kwargs):
         seen.append((guess.coeffs.tobytes(), guess.c, guess.E, s_target))
-        return real(guess, s_target, cfg, *args, **kwargs)
+        return real_solve(guess, s_target, cfg, *args, **kwargs)
+
+    def walk(*args, **kwargs):
+        walks.append(args)
+        return real_walk(*args, **kwargs)
 
     monkeypatch.setattr(spectral_solver, "newton_solve", logged)
-    assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
-        0.135, 0.13687500000000002)
+    monkeypatch.setattr(spectral_solver, "continue_family", walk)
+    lo, hi = oracles.limit_bracket(WaveConfig(), est_mode_cap=512)
+    assert (lo, hi) == (0.135, 0.13687500000000002)
+    assert len(walks) == 1
     assert len(seen) == len(set(seen))
+    fine = {s for coeffs, _, _, s in seen if len(coeffs) == 1024 * 8}
+    assert {lo, hi} <= fine
+
+
+@pytest.mark.parametrize("lo, hi, max_probes, made", [
+    (0.145, 0.15, 1, "0.145 refuted"),
+    (0.10, 0.105, 2, "0.1 reached, 0.105 reached"),
+])
+def test_limit_bracket_returns_no_unprobed_end(lo, hi, max_probes, made):
+    # The budget runs out while the window is set up: the next end (0.13 or
+    # 0.12) was never probed, so there is no bracket to return.
+    with pytest.raises(RuntimeError, match=f"probes made: {made}$"):
+        oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
+                              lo=lo, hi=hi, max_probes=max_probes)
+
+
+def test_limit_bracket_probes_below_the_walk():
+    # The walk's first member is at s = 0.01; a probe below it solves from
+    # that member. With two probes the window is the bracket.
+    assert oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
+                                 lo=0.005, hi=0.15, max_probes=2) == (
+        0.005, 0.15)

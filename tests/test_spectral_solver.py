@@ -340,6 +340,21 @@ def test_family_respects_mode_cap():
     assert fam.requested_stop == 0.16
 
 
+def test_family_without_tail_test_passes_the_mode_cap():
+    # The oracle's walk runs with tail_limit=inf: the same 64-mode family
+    # that stops at its cap with the default bound reaches s_stop, at the
+    # mode count it started with, on tails the default bound rejects.
+    cfg, kw = WaveConfig(mode_count=64), dict(max_modes=64)
+    capped = continue_family(0.01, 0.12, cfg, **kw)
+    assert capped.stop_reason == "mode_cap"
+    assert capped.last.steepness == 0.10597656249999997
+    free = continue_family(0.01, 0.12, cfg, tail_limit=np.inf, **kw)
+    assert free.stop_reason == "reached_stop"
+    assert free.last.steepness == pytest.approx(0.12, abs=1e-12)
+    assert free.last.solution.mode_count == 64
+    assert free.last.tail_ratio > 1e-8
+
+
 def test_family_rejects_bad_range(cfg64):
     # a zero step would append members at one steepness without end; the
     # time budget turns such a regression into a failure instead of a hang;
