@@ -491,8 +491,7 @@ def _cmd_fields(args, cfg: WaveConfig, outdir: Path):
 
 
 def _cmd_limit(args, cfg: WaveConfig, outdir: Path):
-    est = estimate_limit(cfg, max_modes=args.max_modes,
-                         time_budget=args.time_budget)
+    est = estimate_limit(cfg, max_modes=args.max_modes)
     path = outdir / "limit.json"
     digest = _atomic_write_text(path, _dump_json({
         "s_max": est.s_max,
@@ -553,8 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="estimate the steepest resolvable wave")
     common(p)
     p.add_argument("--max-modes", type=int, default=2048)
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="soft wall-clock cap in seconds")
     p.set_defaults(func=_cmd_limit)
     return ap
 

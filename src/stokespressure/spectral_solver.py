@@ -30,10 +30,10 @@ and 0.04 ms there. Below N = 256 the dense step is cheap: `estimate_limit`
 and a default continuation take it at their 128-mode start and hold LU
 factors from then on, so their results keep their bits. A continuation in
 steepness walks the family from the linear regime toward the limiting wave,
-carrying the factors from member to member: each target is tried first from
-a secant-predicted guess, then from the previous member as a warm start; the
-step is halved on failed solves and the mode count doubled when the
-coefficient tail stops being resolved.
+carrying the factors from member to member: each target is solved once,
+from a secant-predicted guess or else from the previous member; the step is
+halved on a failed solve and the mode count doubled when the coefficient
+tail stops being resolved.
 
 Only the dense step and the held factors need LAPACK beyond NumPy (`lange`,
 `lu_factor`, `gecon`, `lu_solve`, `getrs`); GMRES solves its small
@@ -46,7 +46,6 @@ Fourier path no longer pay.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -630,7 +629,7 @@ class ContinuationFamily:
     """Monotone-steepness family of waves with per-member diagnostics."""
 
     members: tuple[FamilyMember, ...]
-    stop_reason: str  # reached_stop | step_floor | mode_cap | time_budget
+    stop_reason: str  # reached_stop | step_floor | mode_cap
     requested_stop: float
 
     @property
@@ -668,7 +667,6 @@ def continue_family(
     *,
     initial_step: float = 0.01,
     max_modes: int = 2048,
-    time_budget: float | None = None,
     tail_limit: float = TAIL_DECAY_RATIO,
 ) -> ContinuationFamily:
     """Walk the family from s_start to s_stop with adaptive steps.
@@ -679,15 +677,14 @@ def continue_family(
     whenever the coefficient tail of a converged solve stops meeting the
     decay bound ``tail_limit`` of `newton_solve` (`TAIL_DECAY_RATIO`, 1e-8,
     by default). With ``tail_limit=np.inf`` no tail is tested: the mode
-    count stays at cfg.mode_count, and the walk ends only at s_stop, the
-    step floor or the time budget. A secant-predicted guess is tried first;
-    the plain warm start is retried only if it does not converge or meets a
-    singular Jacobian, never after a tail rejection at the mode cap, which
-    is final for that target. All solves of the walk share one holder of LU
+    count stays at cfg.mode_count, and the walk ends only at s_stop or the
+    step floor. Each target is solved once, from a secant-predicted guess
+    when one is offered and from the previous member otherwise; any
+    failure halves the step. All solves of the walk share one holder of LU
     factors, the GMRES preconditioner of `newton_solve`, which each
     refreshes only when it no longer serves. Members are recorded at every
-    accepted target; the family ends either at s_stop or at the largest
-    steepness achievable within the budget, with the stop reason recorded.
+    accepted target; the family ends at s_stop, at the step floor or at the
+    mode cap, with the stop reason recorded.
     Solver errors propagate only if not even the first member can be
     computed. An unusable range, step or mode cap raises InvalidConfig.
     """
@@ -698,7 +695,6 @@ def continue_family(
     if cfg.mode_count > max_modes:
         raise InvalidConfig(f"mode_count {cfg.mode_count} exceeds "
                             f"max_modes {max_modes}")
-    t0 = time.monotonic()
     ramp0 = min(s_start, 0.02)
     diag: dict = {}
     factors = _Factors()
@@ -707,7 +703,7 @@ def continue_family(
     s = ramp0
     members: list[FamilyMember] = []
 
-    def record(sol, s, diag):
+    def record(sol, diag):
         members.append(FamilyMember(
             steepness=steepness(sol), solution=sol,
             newton_iters=diag.get("iterations", 0),
@@ -716,7 +712,7 @@ def continue_family(
             tail_ratio=tail_ratio(sol)))
 
     if s >= s_start - 1e-14:
-        record(sol, s, diag)
+        record(sol, diag)
     step = initial_step
     stop_reason = "reached_stop"
     last_failure = None
@@ -725,12 +721,7 @@ def continue_family(
     def predicted(sol, s, target):
         # Secant extrapolation of the unknown vector along the family; cuts
         # the Newton count substantially near the limit. Conservative: only
-        # mild extrapolation factors, and the caller falls back to the plain
-        # warm start if the predicted guess does not converge or meets a
-        # singular Jacobian. A tail rejection at the mode cap gets no such
-        # retry: the tail belongs to the collocation solution at that target
-        # and N, not to the guess, so a restart converges to the same root
-        # with the same tail or grinds to newton_max_iter.
+        # mild extrapolation factors.
         if prev is None:
             return None
         s_p, sol_p = prev
@@ -739,25 +730,14 @@ def continue_family(
         return _secant_guess(sol_p, s_p, sol, s, target)
 
     while s < s_stop - 1e-14:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            stop_reason = "time_budget"
-            break
         target = min(s + step, s_stop)
         if s < s_start:
             target = min(target, s_start)  # land exactly on s_start
         diag = {}
+        guess = predicted(sol, s, target)
         try:
-            new_sol = None
-            guess = predicted(sol, s, target)
-            if guess is not None:
-                try:
-                    new_sol = _solve_target(guess, target, cfg, max_modes,
-                                            diag, factors, tail_limit)
-                except (NonConvergence, SingularJacobian):
-                    diag = {}
-            if new_sol is None:
-                new_sol = _solve_target(sol, target, cfg, max_modes,
-                                        diag, factors, tail_limit)
+            new_sol = _solve_target(sol if guess is None else guess, target,
+                                    cfg, max_modes, diag, factors, tail_limit)
         except (NonConvergence, SingularJacobian, TailNotResolved) as exc:
             last_failure = exc
             step *= 0.5
@@ -770,7 +750,7 @@ def continue_family(
         sol = new_sol
         s = target
         if s >= s_start - 1e-14:
-            record(sol, s, diag)
+            record(sol, diag)
     if not members:
         if last_failure is not None:
             raise last_failure
@@ -795,17 +775,15 @@ def estimate_limit(
     *,
     s_start: float = 0.01,
     max_modes: int = 2048,
-    time_budget: float | None = None,
 ) -> LimitEstimate:
-    """Push the continuation as far as the budget allows.
+    """Push the continuation as far as it goes.
 
     The walk aims at s = 0.2, above any attainable steepness, with the
-    default steps of `continue_family`, so it always ends at the step floor,
-    the mode cap or the time budget; the last member is the estimate.
+    default steps of `continue_family`, so it always ends at the step floor
+    or the mode cap; the last member is the estimate.
     Always returns the best achieved state rather than raising.
     """
-    fam = continue_family(s_start, _S_CEILING, cfg, max_modes=max_modes,
-                          time_budget=time_budget)
+    fam = continue_family(s_start, _S_CEILING, cfg, max_modes=max_modes)
     last = fam.last
     return LimitEstimate(
         s_max=last.steepness,

@@ -207,14 +207,23 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
 def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
     # The bracket walks with a single continuation; a probe reuses its
     # members and never repeats a solve. Both returned ends were probed:
-    # each had its fine solve at twice the mode cap.
-    seen, walks = [], []
+    # each had its fine solve at twice the mode cap. The walk solves each
+    # target once: a failed solve halves the step instead of solving the
+    # same target again, so the only failures are its 8 halvings at the
+    # step floor.
+    seen, walks, outcomes = [], [], []
     real_solve = spectral_solver.newton_solve
     real_walk = spectral_solver.continue_family
 
     def logged(guess, s_target, cfg, *args, **kwargs):
         seen.append((guess.coeffs.tobytes(), guess.c, guess.E, s_target))
-        return real_solve(guess, s_target, cfg, *args, **kwargs)
+        failed = True
+        try:
+            out = real_solve(guess, s_target, cfg, *args, **kwargs)
+            failed = False
+            return out
+        finally:
+            outcomes.append((guess.mode_count, s_target, failed))
 
     def walk(*args, **kwargs):
         walks.append(args)
@@ -228,6 +237,10 @@ def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
     assert len(seen) == len(set(seen))
     fine = {s for coeffs, _, _, s in seen if len(coeffs) == 1024 * 8}
     assert {lo, hi} <= fine
+    resolves = [a for a, b in zip(outcomes, outcomes[1:])
+                if a[2] and b[:2] == a[:2]]
+    assert resolves == []
+    assert sum(failed for _, _, failed in outcomes) <= 8
 
 
 @pytest.mark.parametrize("lo, hi, max_probes, made", [

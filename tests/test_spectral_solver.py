@@ -355,25 +355,63 @@ def test_family_without_tail_test_passes_the_mode_cap():
     assert free.last.tail_ratio > 1e-8
 
 
-def test_family_rejects_bad_range(cfg64):
+def test_family_rejects_bad_range(cfg64, monkeypatch):
     # a zero step would append members at one steepness without end; the
-    # time budget turns such a regression into a failure instead of a hang;
-    # a step below the 1e-5 floor would append members nearly as fast
+    # solve count guard turns such a regression into a failure instead of a
+    # hang (continue_family does not catch AssertionError); a step below the
+    # 1e-5 floor would append members nearly as fast
+    calls = []
+    real = spectral_solver.newton_solve
+
+    def guarded(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 200:
+            raise AssertionError("more than 200 solves")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_solver, "newton_solve", guarded)
     for s_start, s_stop, step in [(0.05, 0.02, 0.01), (0.01, 0.02, 0.0),
                                   (0.01, 0.02, -0.01), (0.01, 0.02, 1e-9),
                                   (0.01, np.inf, 0.01)]:
         with pytest.raises(ValueError):
-            continue_family(s_start, s_stop, cfg64, initial_step=step,
-                            time_budget=2.0)
+            continue_family(s_start, s_stop, cfg64, initial_step=step)
 
 
-def test_estimate_limit_time_budget():
+def test_estimate_limit_stops_in_bounded_time():
     t0 = time.perf_counter()
-    est = estimate_limit(WaveConfig(mode_count=64), time_budget=0.5)
+    est = estimate_limit(WaveConfig(mode_count=64))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    assert est.stop_reason in ("time_budget", "mode_cap", "step_floor")
+    assert est.stop_reason in ("mode_cap", "step_floor")
     assert est.s_max > 0.02
+
+
+def test_family_warm_starts_when_the_secant_declines(monkeypatch):
+    # The walk lands on s_start = 0.0201 from its ramp at 0.02, a step of
+    # 1e-4; the next step, 0.01, is more than 4 times that, so the secant
+    # declines and the target is solved once, from the previous member.
+    # The two steps after that are secant-predicted.
+    secants, solves = [], []
+    real_secant = spectral_solver._secant_guess
+    real_solve = spectral_solver.newton_solve
+
+    def counted(*args):
+        secants.append(args[-1])
+        return real_secant(*args)
+
+    def logged(guess, s_target, cfg, *args, **kwargs):
+        solves.append((s_target, guess))
+        return real_solve(guess, s_target, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_solver, "_secant_guess", counted)
+    monkeypatch.setattr(spectral_solver, "newton_solve", logged)
+    fam = continue_family(0.0201, 0.05, WaveConfig(mode_count=64))
+    assert fam.stop_reason == "reached_stop"
+    np.testing.assert_allclose(fam.steepnesses, [0.0201, 0.0301, 0.0401, 0.05],
+                               rtol=0.0, atol=1e-12)
+    assert len(secants) == 2
+    (guess,) = [g for s, g in solves if abs(s - 0.0301) < 1e-12]
+    assert guess is fam.members[0].solution
 
 
 def test_estimate_limit_does_not_resolve_after_mode_cap_tail(monkeypatch):
