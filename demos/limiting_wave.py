@@ -9,9 +9,9 @@ script pushes to the budget's edge, reports the last certified wave, and
 cross-checks the continuation against a bisection oracle that probes at
 twice the spectral budget.
 
-With the default 1024-mode budget the run takes about one and a half
-seconds (one BLAS thread, 2-core VM); raise MAX_MODES to 2048 to reproduce
-the tighter figures quoted in the package README.
+With the default 1024-mode budget the run takes 1.4 to 1.6 seconds (one
+BLAS thread, 2-core VM); raise MAX_MODES to 2048 to reproduce the tighter
+figures quoted in the package README.
 """
 
 import numpy as np

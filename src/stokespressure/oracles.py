@@ -5,9 +5,10 @@ Bernoulli surface defect is summed densely at arbitrary angles, derivatives
 are obtained by finite differences instead of term-wise differentiation, and
 the small-amplitude wave is written down in closed form; none of these
 shares numerical code with the paths it checks. The limiting steepness is
-re-bracketed on the solver's own continuation and Newton solves: there the
-independence is twice the continuation's mode budget, halved Newton
-tolerance and tail bound, and plain bisection.
+re-bracketed on the solver's own Newton solves and continuation, walked at
+the continuation's own steps: there the independence is twice the
+continuation's mode budget, halved Newton tolerance and tail bound, and
+plain bisection.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ def weakly_nonlinear_speed(s: float, g: float = 1.0) -> float:
 
 
 _WALK_START = 0.01  # first member of `limit_bracket`'s walk
-_WALK_STEP = 0.002  # first continuation step of that walk
 
 
 def _resolved_at_budget(sol: ConformalSolution, judge_index: int, limit: float) -> bool:
@@ -208,28 +208,33 @@ def limit_bracket(
     Cross-check for the continuation-based limit estimate. One
     `continue_family` run, with halved Newton tolerance and no tail test at
     half ``est_mode_cap`` modes (256 to twice the cap), walks from s = 0.01
-    toward 0.2. A probe takes its member at s, or solves at s from the
+    toward 0.2 at the continuation's own steps: 0.01 at first, halved on
+    each failed solve down to the 1e-5 floor, where the walk ends. Near its
+    reach the halvings pack members densely, so a probe there finds close
+    neighbours. A probe takes its member at s, or solves at s from the
     secant through the members around it, then solves again at twice
     ``est_mode_cap`` modes. It is reached if the coefficient at index
     ``est_mode_cap`` still meets the halved tail-decay bound, and refuted
     otherwise, also past the walk's reach or when a solve fails (ROADMAP
     item 1). Bisection stops at hi - lo <= target_width or when the probes
     run out; lo was probed and reached, hi probed and refuted. Raises
-    RuntimeError, naming the probes made, if there is no such pair.
+    RuntimeError, naming the probes made, if there is no such pair, and
+    ValueError, before the walk, unless 0 < lo < hi and max_probes >= 1.
     """
     from . import spectral_solver as ss
 
     cfg = cfg or WaveConfig()
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
+    if max_probes < 1:
+        raise ValueError("need max_probes >= 1")
     modes = 2 * int(est_mode_cap)
     tol = cfg.newton_tol / 2.0
     tail_limit = TAIL_DECAY_RATIO / 2.0
     walk_modes = min(max(256, modes // 4), modes)
     walk_cfg = replace(cfg, newton_tol=tol, mode_count=walk_modes)
-    walk = ss.continue_family(
-        _WALK_START, ss._S_CEILING, walk_cfg, initial_step=_WALK_STEP,
-        max_modes=walk_modes, tail_limit=np.inf).members
+    walk = ss.continue_family(_WALK_START, ss._S_CEILING, walk_cfg,
+                              max_modes=walk_modes, tail_limit=np.inf).members
     reach = [m.steepness for m in walk]
 
     def reached(s: float) -> bool:

@@ -344,7 +344,7 @@ def _back_substitute(R: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _gmres(sol: ConformalSolution, r: np.ndarray, precond,
+def _gmres(sol: ConformalSolution, r: np.ndarray, precond, bases,
            weights=None) -> np.ndarray | None:
     """Newton step delta with ||J delta + r||_2 <= _FORCING ||r||_2, or None.
 
@@ -356,13 +356,15 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, precond,
     the forcing test holds for the returned step although a single-precision
     M is not exactly linear, and no final solve with M is needed. The
     Arnoldi basis is orthogonalized by classical Gram-Schmidt, twice, and
-    the least-squares residual is tracked by Givens rotations.
+    the least-squares residual is tracked by Givens rotations. ``bases`` is
+    the pair (V, Z) of arrays of shape (_KRYLOV_MAX + 1, r.size) and
+    (_KRYLOV_MAX, r.size) that receive the two bases; their prior contents
+    are never read.
     """
     jv = _jvp_operator(sol, weights)
     beta = float(np.linalg.norm(r))
     m = _KRYLOV_MAX
-    V = np.empty((m + 1, r.size))
-    Z = np.empty((m, r.size))
+    V, Z = bases
     R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
     rot = np.zeros((m, 2))  # (cos, sin) of each Givens rotation
     g = np.zeros(m + 1)
@@ -551,6 +553,11 @@ def newton_solve(
     r = residual_vector(sol, s_target)
     rmax = _linf(r)
     iters = 0
+    # GMRES's Krylov bases, shared by every step of this solve: at large N
+    # each lies above malloc's mmap threshold, so a pair per step would be
+    # mapped afresh and page-fault on every first touch.
+    bases = (np.empty((_KRYLOV_MAX + 1, n + 2)),
+             np.empty((_KRYLOV_MAX, n + 2)))
     while rmax > cfg.newton_tol:
         if not np.isfinite(rmax):
             raise NonConvergence("residual became non-finite", iters, rmax)
@@ -560,12 +567,12 @@ def newton_solve(
                 f"(residual {rmax:.3e})", iters, rmax)
         delta = None
         if held.lu is not None and held.lu[0].shape[0] == n + 2:
-            delta = _gmres(sol, r, _lu_preconditioner(held.lu))
+            delta = _gmres(sol, r, _lu_preconditioner(held.lu), bases)
         elif held.lu is None and n >= _FOURIER_MIN_MODES:
             weights = _weights(sol)
             precond = _fourier_preconditioner(weights)
             if precond is not None:
-                delta = _gmres(sol, r, precond, weights)
+                delta = _gmres(sol, r, precond, bases, weights)
         if delta is None:
             # Let the held factors go first: one N^2 array at a time, not two.
             held.lu = None

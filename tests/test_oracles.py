@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -189,8 +190,8 @@ def test_limit_bracket_small_budget():
 def test_limit_bracket_jacobian_budget(monkeypatch):
     # Counts, not timings: the walk is one continuation at 256 modes, whose
     # solves share one holder of factors; it starts on the Fourier path and
-    # builds a Jacobian only after a GMRES miss (4 in all; a fresh holder
-    # per walk solve built 20, and one Jacobian per walk solve would be 75).
+    # builds a Jacobian only after a GMRES miss (3 in all; a fresh holder
+    # per walk solve built 20).
     jacs = []
     real = spectral_solver.jacobian
 
@@ -201,17 +202,18 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
     monkeypatch.setattr(spectral_solver, "jacobian", counted)
     assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
         0.135, 0.13687500000000002)
-    assert len(jacs) <= 6
+    assert len(jacs) <= 4
 
 
 def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
-    # The bracket walks with a single continuation; a probe reuses its
-    # members and never repeats a solve. Both returned ends were probed:
-    # each had its fine solve at twice the mode cap. The walk solves each
-    # target once: a failed solve halves the step instead of solving the
-    # same target again, so the only failures are its 8 halvings at the
-    # step floor.
-    seen, walks, outcomes = [], [], []
+    # The bracket walks with a single continuation at the continuation's own
+    # steps; a probe reuses its members and never repeats a solve. Both
+    # returned ends were probed: each had its fine solve at twice the mode
+    # cap. The walk solves each target once and a failed solve halves the
+    # step, so the only failures are the walk's halvings from its first step
+    # to the step floor, 10 from 0.01 to 1e-5, of 32 solves in all.
+    seen, families, outcomes = [], [], []
+    walking = [False]
     real_solve = spectral_solver.newton_solve
     real_walk = spectral_solver.continue_family
 
@@ -223,24 +225,50 @@ def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
             failed = False
             return out
         finally:
-            outcomes.append((guess.mode_count, s_target, failed))
+            outcomes.append((guess.mode_count, s_target, failed, walking[0]))
 
     def walk(*args, **kwargs):
-        walks.append(args)
-        return real_walk(*args, **kwargs)
+        walking[0] = True
+        try:
+            families.append(real_walk(*args, **kwargs))
+        finally:
+            walking[0] = False
+        return families[-1]
 
     monkeypatch.setattr(spectral_solver, "newton_solve", logged)
     monkeypatch.setattr(spectral_solver, "continue_family", walk)
     lo, hi = oracles.limit_bracket(WaveConfig(), est_mode_cap=512)
     assert (lo, hi) == (0.135, 0.13687500000000002)
-    assert len(walks) == 1
+    assert len(families) == 1
     assert len(seen) == len(set(seen))
     fine = {s for coeffs, _, _, s in seen if len(coeffs) == 1024 * 8}
     assert {lo, hi} <= fine
     resolves = [a for a, b in zip(outcomes, outcomes[1:])
                 if a[2] and b[:2] == a[:2]]
     assert resolves == []
-    assert sum(failed for _, _, failed in outcomes) <= 8
+    assert families[0].stop_reason == "step_floor"
+    first_step = inspect.signature(real_walk).parameters["initial_step"]
+    halvings = math.ceil(math.log2(first_step.default
+                                   / spectral_solver._MIN_STEP))
+    assert [in_walk for *_, failed, in_walk in outcomes if failed] == (
+        [True] * halvings)
+    assert len(outcomes) <= 34
+
+
+@pytest.mark.parametrize("lo, hi, max_probes, why", [
+    (0.15, 0.12, 14, "lo < hi"),
+    (0.0, 0.12, 14, "lo < hi"),
+    (0.12, 0.15, 0, "max_probes >= 1"),
+])
+def test_limit_bracket_refuses_bad_arguments_before_the_walk(
+        monkeypatch, lo, hi, max_probes, why):
+    def walk(*args, **kwargs):
+        raise AssertionError("continue_family called")
+
+    monkeypatch.setattr(spectral_solver, "continue_family", walk)
+    with pytest.raises(ValueError, match=why):
+        oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
+                              lo=lo, hi=hi, max_probes=max_probes)
 
 
 @pytest.mark.parametrize("lo, hi, max_probes, made", [
