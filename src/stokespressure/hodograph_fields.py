@@ -149,7 +149,8 @@ def _point_fields(sol: ConformalSolution, pt: StripPoint,
 
 
 # The pointwise functions below take one StripPoint; one that carries arrays
-# of points gives arrays of values, elementwise, in one evaluation.
+# of points gives arrays of values, elementwise, in one evaluation. Only
+# `field_sample` takes a single point and raises ValueError for arrays.
 
 def velocity(sol: ConformalSolution, pt: StripPoint,
              cfg: WaveConfig | None = None) -> tuple[float, float]:
@@ -205,8 +206,13 @@ def field_sample(sol: ConformalSolution, pt: StripPoint,
     """Every exported quantity at one point, as one `physical_grid` record
     (fields q, p, x, y, u, v, P, f, P_x, P_y, excluded).
 
-    Never raises on exclusion; the record is flagged instead.
+    Never raises on exclusion; the record is flagged instead. A StripPoint
+    that carries arrays raises ValueError: records of many points come from
+    `grid_fields` or `physical_grid`.
     """
+    if np.ndim(pt.q) or np.ndim(pt.p):
+        raise ValueError("field_sample takes one point; use grid_fields or "
+                         "physical_grid for records of many")
     q, p = np.array([pt.q]), np.array([pt.p])
     jet = eval_conformal_jet(sol, StripPoint(q[None, :], p[:, None]))
     return _records(_field_grid(sol, jet, q, p, cfg or _DEFAULT))[0]

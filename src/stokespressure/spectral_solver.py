@@ -21,10 +21,15 @@ chosen in this order:
    analytic Jacobian is built and factored at the current iterate, the step
    is the direct LU solve in double precision, and its factors are held.
 
+All three linearize through one function, `_weights`: J.v weights the
+surface sums of v, the Fourier model averages the weights, and the dense
+Jacobian is the matrix of J.v, its columns the weighted surface sums of
+blocks of unit vectors, so the solver keeps no cosine or sine tables.
+
 The dense path stays because the Fourier model alone is a weak
 preconditioner near the limiting wave, where GMRES then needs many times the
 iterations. From N = 256 a solve that holds no factors skips the dense J and
-LU (5 ms at N = 256, 19 ms at N = 512, one BLAS thread) and the SciPy import
+LU (4 ms at N = 256, 16 ms at N = 512, one BLAS thread) and the SciPy import
 that the first dense step pays; a Fourier build and apply cost about 0.2 ms
 and 0.04 ms there. Below N = 256 the dense step is cheap: `estimate_limit`
 and a default continuation take it at their 128-mode start and hold LU
@@ -84,7 +89,7 @@ _MAX_DAMPINGS = 8
 _FORCING = 1e-3  # a Krylov step must cut ||J delta + r||_2 by this factor
 _KRYLOV_MAX = 20  # GMRES iterations before the preconditioner is refreshed
 _FOURIER_MIN_MODES = 256  # N from which a solve without factors tries Fourier
-_JAC_BLOCK_ROWS = 32  # rows of J assembled per pass through the scratch
+_JAC_BLOCK_COLS = 16  # unit vectors per FFT batch of `jacobian`
 _MIN_STEP = 1e-5  # continuation step floor
 _S_CEILING = 0.2  # `estimate_limit` target, above any attainable steepness
 
@@ -123,26 +128,27 @@ def collocation_angles(n: int) -> np.ndarray:
 
 
 def _surface_sums(a: np.ndarray, m: int):
-    """Surface sums at theta_j = j pi / m, j = 0..m: h, A = c|h_q| factor, B,
-    and S = A^2 + (1+B)^2 = c^2 (h_q^2 + h_p^2).
+    """Surface sums at theta_j = j pi / m, j = 0..m: h, A = c|h_q| factor
+    and B, in terms of which S = A^2 + (1+B)^2 = c^2 (h_q^2 + h_p^2).
 
     One real FFT of length 2m: sum_k x_k e^{-ik theta_j} for x = a and k a,
-    whose real parts are h and B and whose imaginary part is -A.
+    whose real parts are h and B and whose imaginary part is -A. The last
+    axis of a holds a_1..a_N; leading axes batch coefficient vectors, and
+    each gets the bits it gets alone.
     """
-    n = a.size
-    series = np.zeros((2, n + 1))  # slot 0 is the absent k = 0 mode
-    series[0, 1:] = a
-    series[1, 1:] = np.arange(1.0, n + 1.0) * a
+    n = a.shape[-1]
+    series = np.zeros((2,) + a.shape[:-1] + (n + 1,))  # k = 0 mode absent
+    series[0, ..., 1:] = a
+    series[1, ..., 1:] = np.arange(1.0, n + 1.0) * a
     sums = np.fft.rfft(series, n=2 * m)
-    h, B, A = sums[0].real, sums[1].real, -sums[1].imag
-    S = A * A + (1.0 + B) ** 2
-    return h, A, B, S
+    return sums[0].real, -sums[1].imag, sums[1].real
 
 
 def _grid_defect(sol: ConformalSolution, m: int) -> np.ndarray:
     """The Bernoulli defect 2 (E - g h) S / c^2 - 1 at the m+1 angles
     theta_j = j pi / m."""
-    h, _, _, S = _surface_sums(sol.coeffs, m)
+    h, A, B = _surface_sums(sol.coeffs, m)
+    S = A * A + (1.0 + B) ** 2
     return 2.0 * (sol.E - sol.gravity * h) * S / sol.c**2 - 1.0
 
 
@@ -159,44 +165,20 @@ def residual_vector(sol: ConformalSolution, s_target: float) -> np.ndarray:
 def jacobian(sol: ConformalSolution, s_target: float) -> np.ndarray:
     """Analytic Jacobian of `residual_vector` in (a_1..a_N, c, E).
 
+    The matrix of `_jvp_operator`: the mode columns are the `_weights` of
+    sol applied to the surface sums of a block of unit vectors at a time,
+    so column k is J e_k of the matrix-free product bit for bit.
     Fortran-ordered, so LAPACK factors it without a copy.
     """
     n = sol.mode_count
-    theta, k = collocation_angles(n), np.arange(1.0, n + 1.0)
-    a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
-    h, A, B, S = _surface_sums(a, n)
+    w_h, w_A, w_B, w_c, w_E = _weights(sol)
     J = np.zeros((n + 2, n + 2), order="F")
-    excess = E - g * h
-    # d/da_k: product rule through h and through S,
-    #   w_h ck + w_S (2A (sk k) + 2(1+B) (ck k))  row by row,
-    # with ck = cos(theta_j k) and sk = sin(theta_j k), assembled a block of
-    # rows at a time in small scratch buffers rather than in full-size
-    # temporaries or tables kept between calls. Every element sees the same
-    # operations in the same order as that broadcast formula, so J is
-    # bit-identical to it.
-    w_h = (-2.0 * g * S / c**2)[:, None]
-    w_S = (2.0 * excess / c**2)[:, None]
-    two_a = (2.0 * A)[:, None]
-    two_b = (2.0 * (1.0 + B))[:, None]
-    rows = min(_JAC_BLOCK_ROWS, n + 1)
-    scratch = np.empty((4, rows, n))
-    for r0 in range(0, n + 1, rows):
-        blk = slice(r0, min(r0 + rows, n + 1))
-        ck, sk, t_s, t_c = scratch[:, : blk.stop - r0]
-        np.multiply.outer(theta[blk], k, out=t_c)
-        np.cos(t_c, out=ck)
-        np.sin(t_c, out=sk)
-        np.multiply(sk, k, out=t_s)
-        np.multiply(two_a[blk], t_s, out=t_s)
-        np.multiply(ck, k, out=t_c)
-        np.multiply(two_b[blk], t_c, out=t_c)
-        np.add(t_s, t_c, out=t_s)
-        np.multiply(w_S[blk], t_s, out=t_s)
-        np.multiply(w_h[blk], ck, out=t_c)
-        np.add(t_c, t_s, out=t_c)
-        J[blk, :n] = t_c
-    J[: n + 1, n] = -4.0 * excess * S / c**3
-    J[: n + 1, n + 1] = 2.0 * S / c**2
+    for k0 in range(0, n, _JAC_BLOCK_COLS):
+        blk = slice(k0, min(k0 + _JAC_BLOCK_COLS, n))
+        dh, dA, dB = _surface_sums(np.eye(blk.stop - k0, n, k0), n)
+        J[: n + 1, blk] = (w_h * dh + w_A * dA + w_B * dB).T
+    J[: n + 1, n] = w_c
+    J[: n + 1, n + 1] = w_E
     # Steepness row: only odd modes move the crest-to-trough height.
     J[n + 1, 0:n:2] = 1.0 / np.pi
     return J
@@ -214,7 +196,8 @@ def _weights(sol: ConformalSolution):
     """
     n = sol.mode_count
     c, E, g = sol.c, sol.E, sol.gravity
-    h, A, B, S = _surface_sums(sol.coeffs, n)
+    h, A, B = _surface_sums(sol.coeffs, n)
+    S = A * A + (1.0 + B) ** 2
     excess = E - g * h
     return (-2.0 * g / c**2 * S,
             4.0 / c**2 * excess * A,
@@ -230,7 +213,7 @@ def _jvp_operator(sol: ConformalSolution, weights=None):
     w_h, w_A, w_B, w_c, w_E = _weights(sol) if weights is None else weights
 
     def jv(d: np.ndarray) -> np.ndarray:
-        dh, dA, dB, _ = _surface_sums(d[:n], n)
+        dh, dA, dB = _surface_sums(d[:n], n)
         out = np.empty(n + 2)
         out[: n + 1] = (w_h * dh + w_A * dA + w_B * dB
                         + w_c * d[n] + w_E * d[n + 1])
@@ -786,9 +769,11 @@ def estimate_limit(
     """Push the continuation as far as it goes.
 
     The walk aims at s = 0.2, above any attainable steepness, with the
-    default steps of `continue_family`, so it always ends at the step floor
-    or the mode cap; the last member is the estimate.
-    Always returns the best achieved state rather than raising.
+    default steps of `continue_family`, so it ends at the step floor or the
+    mode cap; the last member is the estimate. Failed solves after the
+    first member only halve the step. It raises as `continue_family` does:
+    the first member's solver error if not even that one converges, and
+    InvalidConfig for an unusable start or mode cap.
     """
     fam = continue_family(s_start, _S_CEILING, cfg, max_modes=max_modes)
     last = fam.last

@@ -186,6 +186,18 @@ class ConformalJet:
     x_p: float | np.ndarray
 
 
+def _jet(c: float, q, p, re, im) -> ConformalJet:
+    """The jet at points (q, p) from the real and imaginary parts re[i],
+    im[i] of the series sums of k^i a_k e^{k (p + iq) / c}, i = 0, 1, 2."""
+    h_p = 1.0 / c + re[1] / c
+    h_q = -im[1] / c
+    h_qq = -re[2] / c**2
+    return ConformalJet(
+        h=p / c + re[0], h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=-im[2] / c**2,
+        h_pp=-h_qq, x=q / c + im[0], x_q=h_p, x_p=-h_q,
+    )
+
+
 # Points per block of `_jet_points`: its temporaries are (block, N).
 _JET_BLOCK = 256
 
@@ -227,15 +239,8 @@ def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
         for i, w in enumerate(weights):
             re[i, blk] = zr @ w
             im[i, blk] = zi @ w
-    re = re.reshape((3,) + q.shape)
-    im = im.reshape((3,) + q.shape)
-    h_p = 1.0 / c + re[1] / c
-    h_q = -im[1] / c
-    h_qq = -re[2] / c**2
-    return ConformalJet(
-        h=p / c + re[0], h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=-im[2] / c**2,
-        h_pp=-h_qq, x=q / c + im[0], x_q=h_p, x_p=-h_q,
-    )
+    shape = (3,) + q.shape
+    return _jet(c, q, p, re.reshape(shape), im.reshape(shape))
 
 
 def eval_conformal_jet(sol: ConformalSolution, pt: StripPoint) -> ConformalJet:
@@ -271,16 +276,9 @@ def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> Confo
     E = np.exp(np.outer(p / c, k)) * sol.coeffs
     C = np.cos(np.outer(q / c, k))
     S = np.sin(np.outer(q / c, k))
-    KE = E * k
-    K2E = KE * k
-    h = p[:, None] / c + E @ C.T
-    h_q = -(KE @ S.T) / c
-    h_p = 1.0 / c + (KE @ C.T) / c
-    h_qq = -(K2E @ C.T) / c**2
-    h_qp = -(K2E @ S.T) / c**2
-    x = q[None, :] / c + E @ S.T
-    return ConformalJet(h=h, h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=h_qp,
-                        h_pp=-h_qq, x=x, x_q=h_p, x_p=-h_q)
+    weighted = (E, E * k, E * k * k)
+    return _jet(c, q[None, :], p[:, None], [w @ C.T for w in weighted],
+                [w @ S.T for w in weighted])
 
 
 def steepness(sol: ConformalSolution) -> float:

@@ -133,6 +133,17 @@ def test_field_sample_bundles_everything(sol_005, cfg):
     assert not s.excluded
 
 
+def test_field_sample_refuses_arrays_of_points(sol_005, cfg):
+    # It returns one record; given three points it must not return the
+    # first alone. `pressure` on the same StripPoint gives all three.
+    pts = StripPoint(q=np.array([0.3, 0.6, 0.9]), p=np.array([-0.1, -0.2, -0.3]))
+    assert np.shape(pressure(sol_005, pts, cfg)) == (3,)
+    for pt in (pts, StripPoint(q=np.array([0.3]), p=-0.1),
+               StripPoint(q=0.3, p=np.array([-0.1, -0.2]))):
+        with pytest.raises(ValueError, match="grid_fields"):
+            field_sample(sol_005, pt, cfg)
+
+
 # --- exclusion near stagnation -----------------------------------------------
 
 def test_exclusion_activates_below_indicator_threshold(sol_013):

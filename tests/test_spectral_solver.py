@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stokespressure
 from stokespressure import oracles, spectral_solver
 from stokespressure.oracles import surface_residual
 from stokespressure.spectral_solver import (
@@ -26,6 +30,7 @@ from stokespressure.spectral_solver import (
 )
 from stokespressure.wave_model import (
     ConformalSolution,
+    InvalidConfig,
     WaveConfig,
     crest_indicator,
     steepness,
@@ -144,15 +149,18 @@ def test_jacobian_steepness_row(cfg64):
 
 
 def _broadcast_jacobian(sol):
-    # The full-size broadcast formula the blocked assembly must reproduce bit
-    # for bit, from the same surface sums (checked against dense sums by the
-    # residual tests above).
+    # The trig formula for J, independent of `_weights` and of the FFT
+    # assembly, from the same surface sums (checked against dense sums by
+    # the residual tests above). The angles theta_j k = pi (j k mod 2N) / N
+    # are reduced in integers: the float product theta_j * k is off by up to
+    # ~1e-12 at N = 2048, more than the bound it serves as reference for.
     n = sol.mode_count
-    theta = collocation_angles(n)
     k = np.arange(1.0, n + 1.0)
-    ck, sk = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    jk = np.outer(np.arange(n + 1), np.arange(1, n + 1)) % (2 * n)
+    ck, sk = np.cos(np.pi * jk / n), np.sin(np.pi * jk / n)
     a, c, E, g = sol.coeffs, sol.c, sol.E, sol.gravity
-    h, A, B, S = spectral_solver._surface_sums(a, n)
+    h, A, B = spectral_solver._surface_sums(a, n)
+    S = A * A + (1.0 + B) ** 2
     excess = E - g * h
     J = np.zeros((n + 2, n + 2))
     J[: n + 1, :n] = (
@@ -167,10 +175,25 @@ def _broadcast_jacobian(sol):
 
 
 @pytest.mark.parametrize("n", [64, 100, 2048])
-def test_jacobian_is_bit_identical_to_broadcast_formula(sol_005, n):
-    # N + 1 is not a multiple of the assembly block at any of these N.
+def test_jacobian_is_the_matrix_of_the_matrix_free_product(sol_005, n):
+    # N is not a multiple of the assembly's column block at N = 100.
     sol = _pad_modes(sol_005, n)
-    assert np.array_equal(jacobian(sol, 0.05), _broadcast_jacobian(sol))
+    J = jacobian(sol, 0.05)
+    jv = spectral_solver._jvp_operator(sol)
+    for k, e_k in enumerate(np.eye(n + 2)):
+        assert np.array_equal(J[:, k], jv(e_k)), k
+    assert np.abs(J - _broadcast_jacobian(sol)).max() <= 1e-12 * np.abs(J).max()
+
+
+def test_surface_sums_of_a_batch_are_those_of_each_row(sol_005, rng):
+    n = 100
+    rows = np.vstack([_pad_modes(sol_005, n).coeffs, np.eye(3, n, 97),
+                      rng.standard_normal((4, n))]).reshape(2, 4, n)
+    batch = spectral_solver._surface_sums(rows, n)
+    for i, j in np.ndindex(rows.shape[:2]):
+        alone = spectral_solver._surface_sums(rows[i, j], n)
+        for x, y in zip(batch, alone):
+            assert np.array_equal(x[i, j], y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -347,7 +370,7 @@ def test_family_without_tail_test_passes_the_mode_cap():
     cfg, kw = WaveConfig(mode_count=64), dict(max_modes=64)
     capped = continue_family(0.01, 0.12, cfg, **kw)
     assert capped.stop_reason == "mode_cap"
-    assert capped.last.steepness == 0.10597656249999997
+    assert capped.last.steepness == 0.10597656249999998
     free = continue_family(0.01, 0.12, cfg, tail_limit=np.inf, **kw)
     assert free.stop_reason == "reached_stop"
     assert free.last.steepness == pytest.approx(0.12, abs=1e-12)
@@ -414,6 +437,15 @@ def test_family_warm_starts_when_the_secant_declines(monkeypatch):
     assert guess is fam.members[0].solution
 
 
+def test_estimate_limit_raises_when_the_first_member_fails():
+    # One Newton iteration cannot converge the ramp's first target, so there
+    # is no best state to return: the first member's error propagates.
+    with pytest.raises(NonConvergence):
+        estimate_limit(WaveConfig(newton_max_iter=1))
+    with pytest.raises(InvalidConfig):
+        estimate_limit(WaveConfig(), s_start=0.0)
+
+
 def test_estimate_limit_does_not_resolve_after_mode_cap_tail(monkeypatch):
     # A tail rejection at the mode cap is final for its target: the tail
     # belongs to the collocation solution at that target and N, so solving
@@ -437,7 +469,34 @@ def test_estimate_limit_does_not_resolve_after_mode_cap_tail(monkeypatch):
                 if a[0] == 128 and a[2] and b[1] == a[1]]
     assert resolves == []
     assert est.stop_reason == "mode_cap"
-    assert est.s_max == 0.12203125
+    assert est.s_max == 0.12203125000000001
+
+
+_BENCHMARK_CAP = """
+from stokespressure import WaveConfig, spectral_solver
+jacs = []
+real = spectral_solver.jacobian
+spectral_solver.jacobian = lambda sol, s: jacs.append(sol) or real(sol, s)
+est = spectral_solver.estimate_limit(WaveConfig(), max_modes=512)
+print(repr(est.s_max), len(jacs))
+"""
+
+
+def test_estimate_limit_at_the_benchmark_cap():
+    # The estimate of the `limit` benchmark, which runs one BLAS thread. A
+    # fresh interpreter pins that thread count: the last bits of s_max
+    # follow the order in which the LU is computed (two threads give
+    # 0.13562499999999997).
+    src = str(os.path.dirname(os.path.dirname(stokespressure.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _BENCHMARK_CAP], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    s_max, jacobians = proc.stdout.split()
+    assert float(s_max) == 0.135625
+    assert int(jacobians) <= 3
 
 
 def _count_jacobians(monkeypatch):
@@ -465,17 +524,18 @@ def _secant_directions(members, start):
 
 
 def test_jvp_matches_dense_jacobian(family_n256, sol_010):
+    # Against the trig formula: `jacobian` is built from the product itself.
     cfg = WaveConfig(mode_count=256)
     for m, d in _secant_directions(family_n256.members,
                                    initial_guess(0.01, cfg)):
-        Jd = jacobian(m.solution, m.steepness) @ d
+        Jd = _broadcast_jacobian(m.solution) @ d
         err = np.abs(spectral_solver._jvp_operator(m.solution)(d) - Jd).max()
         assert err <= 1e-13 * np.abs(Jd).max(), m.steepness
     wide = newton_solve(_pad_modes(sol_010, 2048), 0.10,
                         WaveConfig(mode_count=2048))
     d = unknowns(wide) - unknowns(_pad_modes(family_n256.members[-2].solution,
                                              2048))
-    Jd = jacobian(wide, 0.10) @ d
+    Jd = _broadcast_jacobian(wide) @ d
     err = np.abs(spectral_solver._jvp_operator(wide)(d) - Jd).max()
     assert err <= 1e-13 * np.abs(Jd).max()
 
