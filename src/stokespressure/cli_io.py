@@ -126,7 +126,10 @@ def _atomic_write_text(path: Path, text: str) -> str:
 
 
 def _finite_or_null(obj):
-    """obj with every non-finite float replaced by None."""
+    """obj as plain JSON values: NumPy scalars as their Python values, and
+    every non-finite float replaced by None."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):

@@ -50,7 +50,6 @@ __all__ = [
     "f_field",
     "field_sample",
     "surface",
-    "surface_curvature",
     "grid_fields",
     "physical_grid",
     "invert_position",
@@ -71,6 +70,7 @@ class SurfaceProfile:
     x: np.ndarray
     eta: np.ndarray
     slope: np.ndarray  # d eta / dx at the samples
+    eta_xx: np.ndarray  # d^2 eta / dx^2 at the samples
 
 
 # Layout of a field record (`physical_grid` rows, `field_sample`).
@@ -223,10 +223,11 @@ def surface(sol: ConformalSolution, m: int = 256,
     """Sample the free surface at m+1 equal strip angles over a half period.
 
     theta = q / c runs from 0 (crest) to pi (trough); x then runs over
-    [0, pi] monotonically. The slope is d eta / dx = h_q / h_p evaluated on
-    p = 0. When the near-stagnation exclusion is active, slopes of excluded
-    samples are reported from the nearest included sample (the surface
-    position itself stays finite and is always reported).
+    [0, pi] monotonically. The slope is d eta / dx = h_q / h_p and the
+    curvature eta_xx = (h_qq h_p - h_q h_qp) / h_p^3 (chain rule), both
+    evaluated on p = 0. When the near-stagnation exclusion is active, slopes
+    of excluded samples are reported from the nearest included sample (the
+    surface position and curvature stay finite and are always reported).
     """
     cfg = cfg or _DEFAULT
     if m < 16:
@@ -234,28 +235,15 @@ def surface(sol: ConformalSolution, m: int = 256,
     theta = np.linspace(0.0, np.pi, m + 1)
     q = sol.c * theta
     jets = eval_jet_grid(sol, q, np.array([0.0]))
-    eta = jets.h[0]
-    slope = jets.h_q[0] / jets.h_p[0]
+    h_q, h_p, h_qq, h_qp = jets.h_q[0], jets.h_p[0], jets.h_qq[0], jets.h_qp[0]
+    slope = h_q / h_p
     excl = _exclusion_mask(sol, q, np.zeros_like(q), cfg)
     if excl.any() and not excl.all():
         inc = np.flatnonzero(~excl)
         for i in np.flatnonzero(excl):
             slope[i] = slope[inc[np.abs(inc - i).argmin()]]
-    return SurfaceProfile(q=q, x=jets.x[0], eta=eta, slope=slope)
-
-
-def surface_curvature(sol: ConformalSolution, m: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """(x, eta_xx) at m+1 equal strip angles over the half period.
-
-    Second derivative of the profile via the chain rule:
-    eta_xx = (h_qq h_p - h_q h_qp) / h_p^3 on p = 0.
-    """
-    if m < 16:
-        raise ValueError("need at least 16 surface samples")
-    theta = np.linspace(0.0, np.pi, m + 1)
-    jets = eval_jet_grid(sol, sol.c * theta, np.array([0.0]))
-    h_q, h_p, h_qq, h_qp = jets.h_q[0], jets.h_p[0], jets.h_qq[0], jets.h_qp[0]
-    return jets.x[0], (h_qq * h_p - h_q * h_qp) / h_p**3
+    return SurfaceProfile(q=q, x=jets.x[0], eta=jets.h[0], slope=slope,
+                          eta_xx=(h_qq * h_p - h_q * h_qp) / h_p**3)
 
 
 @dataclass(frozen=True)

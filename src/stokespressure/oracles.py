@@ -184,16 +184,6 @@ def weakly_nonlinear_speed(s: float, g: float = 1.0) -> float:
 _WALK_START = 0.01  # first member of `limit_bracket`'s walk
 
 
-def _resolved_at_budget(sol: ConformalSolution, judge_index: int, limit: float) -> bool:
-    a = np.abs(sol.coeffs)
-    amax = float(a.max())
-    if amax == 0.0:
-        return True
-    if judge_index > a.size:
-        return False
-    return float(a[judge_index - 1]) <= limit * amax
-
-
 def limit_bracket(
     cfg: WaveConfig | None = None,
     *,
@@ -255,7 +245,8 @@ def limit_bracket(
                                    tail_limit=np.inf)
         except ss.SolverError:
             return False
-        return _resolved_at_budget(fine, int(est_mode_cap), tail_limit)
+        a = np.abs(fine.coeffs)
+        return float(a[int(est_mode_cap) - 1]) <= tail_limit * float(a.max())
 
     log: dict[float, bool] = {}  # probed steepness -> reached
 

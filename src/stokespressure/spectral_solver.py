@@ -631,23 +631,29 @@ class ContinuationFamily:
         return self.members[-1]
 
 
-def _solve_target(sol, target, cfg, max_modes, diag_out, factors, tail_limit):
-    """Newton at one target from a warm start, doubling modes as needed;
-    TailNotResolved once doubling would pass ``max_modes``."""
+def _solve_target(sol, target, cfg, max_modes, factors,
+                  tail_limit) -> FamilyMember:
+    """The member solved by Newton at one target from a warm start, doubling
+    modes as needed; TailNotResolved once doubling would pass ``max_modes``."""
     guess = sol
     while True:
         diag = {}
         try:
             out = newton_solve(guess, target, cfg, diagnostics=diag,
                                tail_limit=tail_limit, factors=factors)
-            diag_out.update(diag)
-            return out
         except TailNotResolved as exc:
             n2 = 2 * guess.mode_count
             if n2 > max_modes:
                 raise
             # Reuse the converged low-resolution solution as the warm start.
             guess = _pad_modes(exc.solution, n2)
+        else:
+            return FamilyMember(
+                steepness=steepness(out), solution=out,
+                newton_iters=diag["iterations"],
+                residual_norm=diag["residual_norm"],
+                crest_indicator=crest_indicator(out),
+                tail_ratio=diag["tail_ratio"])
 
 
 def continue_family(
@@ -686,23 +692,13 @@ def continue_family(
         raise InvalidConfig(f"mode_count {cfg.mode_count} exceeds "
                             f"max_modes {max_modes}")
     ramp0 = min(s_start, 0.02)
-    diag: dict = {}
     factors = _Factors()
-    sol = _solve_target(initial_guess(ramp0, cfg), ramp0, cfg, max_modes,
-                        diag, factors, tail_limit)
+    member = _solve_target(initial_guess(ramp0, cfg), ramp0, cfg, max_modes,
+                           factors, tail_limit)
     s = ramp0
     members: list[FamilyMember] = []
-
-    def record(sol, diag):
-        members.append(FamilyMember(
-            steepness=steepness(sol), solution=sol,
-            newton_iters=diag.get("iterations", 0),
-            residual_norm=diag.get("residual_norm", 0.0),
-            crest_indicator=crest_indicator(sol),
-            tail_ratio=tail_ratio(sol)))
-
     if s >= s_start - 1e-14:
-        record(sol, diag)
+        members.append(member)
     step = initial_step
     stop_reason = "reached_stop"
     last_failure = None
@@ -723,11 +719,11 @@ def continue_family(
         target = min(s + step, s_stop)
         if s < s_start:
             target = min(target, s_start)  # land exactly on s_start
-        diag = {}
+        sol = member.solution
         guess = predicted(sol, s, target)
         try:
-            new_sol = _solve_target(sol if guess is None else guess, target,
-                                    cfg, max_modes, diag, factors, tail_limit)
+            member = _solve_target(sol if guess is None else guess, target,
+                                   cfg, max_modes, factors, tail_limit)
         except (NonConvergence, SingularJacobian, TailNotResolved) as exc:
             last_failure = exc
             step *= 0.5
@@ -737,14 +733,11 @@ def continue_family(
                 break
             continue
         prev = (s, sol)
-        sol = new_sol
         s = target
         if s >= s_start - 1e-14:
-            record(sol, diag)
+            members.append(member)
     if not members:
-        if last_failure is not None:
-            raise last_failure
-        raise NonConvergence("continuation produced no members")
+        raise last_failure
     return ContinuationFamily(members=tuple(members), stop_reason=stop_reason,
                               requested_stop=s_stop)
 

@@ -24,7 +24,7 @@ position inversion per stencil point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .hodograph_fields import (
     grid_fields,
     pressure,
     pressure_gradient,
-    surface_curvature,
+    surface,
     velocity_gradients,
 )
 from .spectral_solver import _grid_defect, collocation_angles
@@ -83,17 +83,7 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "worst_margin": float(self.worst_margin),
-            "worst_location": [float(self.worst_location[0]),
-                               float(self.worst_location[1])],
-            "samples_checked": int(self.samples_checked),
-            "samples_excluded": int(self.samples_excluded),
-            "tolerance_used": float(self.tolerance_used),
-            "note": self.note,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckResult":
@@ -134,18 +124,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "steepness": float(self.steepness),
-            "c": float(self.c),
-            "E": float(self.E),
-            "mode_count": int(self.mode_count),
-            "crest_indicator": float(self.crest_indicator),
-            "grid_nq": int(self.grid_nq),
-            "grid_np": int(self.grid_np),
-            "grid_depth": float(self.grid_depth),
-            "passed": bool(self.passed),
-            "checks": [ch.to_dict() for ch in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
@@ -501,7 +480,8 @@ def _surface_checks(sol: ConformalSolution, cfg: WaveConfig,
         note="margin is max (d eta / dx)^2; must stay below 1"))
 
     # Built by hand: the verdict reads the whole curvature profile, not one sample.
-    xs, e2 = surface_curvature(sol, max(cfg.grid_nq, 64))
+    prof = surface(sol, max(cfg.grid_nq, 64), cfg)
+    xs, e2 = prof.x, prof.eta_xx
     tol = 1e-8 * max(float(np.abs(e2).max()), 1e-30)
     nonneg = np.flatnonzero(e2 >= 0.0)
     if flat:

@@ -24,7 +24,6 @@ from stokespressure.hodograph_fields import (
     pressure,
     pressure_gradient,
     surface,
-    surface_curvature,
 )
 from stokespressure.spectral_solver import (
     collocation_angles,
@@ -239,7 +238,7 @@ def test_criterion_06_surface_and_velocity_structure(suite_grids,
         prof = surface(sol, m=256, cfg=WaveConfig(mode_count=sol.mode_count))
         slope_sq = float((prof.slope ** 2).max())
         ok &= slope_sq < 1.0
-        x, eta_xx = surface_curvature(sol, m=256)
+        x, eta_xx = prof.x, prof.eta_xx
         live = np.abs(eta_xx) > 1e-12 * np.abs(eta_xx).max()
         flips = int(np.count_nonzero(np.diff(np.sign(eta_xx[live]))))
         ok &= flips == 1

@@ -20,12 +20,13 @@ from stokespressure.cli_io import (
     load_report,
     load_solution,
     main,
+    save_report,
     save_solution,
     write_fields_csv,
 )
 from stokespressure.hodograph_fields import grid_fields, physical_grid
 from stokespressure.spectral_solver import initial_guess, newton_solve
-from stokespressure.verifier import verify_all
+from stokespressure.verifier import CheckResult, VerificationReport, verify_all
 from stokespressure.wave_model import InvalidConfig, WaveConfig, steepness
 
 
@@ -538,6 +539,25 @@ def test_exit_1_on_failed_verification(sol_005, tmp_path):
     assert run("verify", "--solution", bad, "--out", tmp_path) == 1
     report = load_report(tmp_path / "report.json")
     assert not report.passed
+
+
+def _report_of(int_, float_, bool_):
+    check = CheckResult("pressure_x_negative", bool_(False),
+                        float_(math.nan), (float_(0.25), float_(-1.5)),
+                        int_(31), int_(2), float_(0.0), "a note")
+    return VerificationReport(
+        steepness=float_(0.1), c=float_(1.05), E=float_(0.5),
+        mode_count=int_(256), crest_indicator=float_(0.6), grid_nq=int_(32),
+        grid_np=int_(8), grid_depth=float_(-6.5), checks=(check,))
+
+
+def test_report_with_numpy_scalars_writes_python_scalar_bytes(tmp_path):
+    save_report(_report_of(np.int64, np.float64, np.bool_),
+                tmp_path / "numpy.json")
+    save_report(_report_of(int, float, bool), tmp_path / "python.json")
+    written = (tmp_path / "numpy.json").read_bytes()
+    assert written == (tmp_path / "python.json").read_bytes()
+    assert b'"worst_margin": null' in written
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

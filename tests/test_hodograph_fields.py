@@ -14,7 +14,6 @@ from stokespressure.hodograph_fields import (
     pressure,
     pressure_gradient,
     surface,
-    surface_curvature,
     velocity,
     velocity_gradients,
 )
@@ -264,6 +263,25 @@ def test_surface_slope_matches_eta_derivative(sol_010):
     assert err < 5e-3, f"slope inconsistent with profile: {err}"
 
 
+def test_surface_fills_excluded_slopes_from_nearest_included(sol_013):
+    inert = WaveConfig(mode_count=512)
+    eager = WaveConfig(mode_count=512, crest_indicator_threshold=0.99)
+    assert (inert.crest_indicator_threshold <= crest_indicator(sol_013)
+            < eager.crest_indicator_threshold)
+    base = surface(sol_013, m=256, cfg=inert)
+    prof = surface(sol_013, m=256, cfg=eager)
+    # On p = 0 the crest disc holds the first samples from q = 0; the
+    # nearest included sample of each is the first one outside the disc.
+    excl = prof.q < eager.excision_radius
+    first = int(np.count_nonzero(excl))
+    assert 1 < first < 16 and not excl[first:].any()
+    assert np.all(prof.slope[:first] == prof.slope[first])
+    assert base.slope[0] == 0.0 != prof.slope[0]
+    assert np.array_equal(prof.slope[first:], base.slope[first:])
+    for name in ("q", "x", "eta", "eta_xx"):
+        assert np.array_equal(getattr(prof, name), getattr(base, name)), name
+
+
 def test_surface_rejects_tiny_sampling(sol_005):
     with pytest.raises(ValueError):
         surface(sol_005, m=8)
@@ -282,7 +300,7 @@ def test_surface_mean_levels(sol_010):
 
 
 def test_curvature_has_single_inflection(sol_010):
-    x, eta_xx = surface_curvature(sol_010, m=256)
+    eta_xx = surface(sol_010, m=256).eta_xx
     signs = np.sign(eta_xx[np.abs(eta_xx) > 1e-12])
     flips = np.count_nonzero(np.diff(signs))
     assert flips == 1, f"expected one inflection, saw {flips}"
