@@ -23,11 +23,10 @@ Dictionary keys are sorted. JSON floats use repr, the shortest digit string
 that round-trips exactly. CSV floats (`fields.csv`, `summary.csv`) use
 %.17g: 17 significant digits with trailing zeros dropped, so 0.1 is written
 0.10000000000000001; that round-trips too, but is not the shortest string.
-`fields.csv` is formatted on every core the process may run on: the rows
-are split into one contiguous slice per core, the caller formats the first
-and a child made by `os.fork` each other one, and the bytes are the same as
-from one process. Python >= 3.12 warns when a process with threads (OpenBLAS
-has some) forks; the child only formats strings and writes them to a pipe.
+`fields.csv` is printed in this one process by NumPy operations on whole
+arrays (`_cells_17g`), to the same bytes as %.17g; the few values those
+cannot prove exact (NaN, ±inf, subnormals, near-ties) go through
+`format(x, ".17g")`. It is written 1,024 rows at a time.
 Every run also writes a manifest (tool version, configuration snapshot,
 SHA-256 of the inputs, `--config` and `--solution` where given, and of the
 bytes each output was written with, wall-clock timestamps); the manifest is
@@ -42,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -50,7 +50,7 @@ import secrets
 import sys
 import time
 from pathlib import Path
-from typing import BinaryIO
+from typing import Iterable
 
 import numpy as np
 
@@ -85,9 +85,10 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "STOKESPRESSURE_OUT"
 FIELDS_CSV_HEADER = "q,p,x,y,u,v,P,f,Px,Py,excluded"
-# One CSV line, q and p already printed and excluded given as "0"/"1".
-_FIELDS_CSV_LINE = "%s,%s," + "%.17g," * 8 + "%s\n"
 _FIELDS_CSV_FLOATS = ("x", "y", "u", "v", "P", "f", "P_x", "P_y")
+# Rows per block of fields.csv. Larger blocks save little time but leave more
+# freed heap resident: 4,096-row blocks raised the peak RSS of the `certify`
+# benchmark by 3-4 MB.
 _FIELDS_CSV_BLOCK = 1024
 _SOLUTION_FORMAT = "stokespressure.solution/1"
 _REPORT_FORMAT = "stokespressure.report/1"
@@ -99,7 +100,7 @@ class CliInputError(ValueError):
     """Unusable file, config key, or argument value (exit code 2)."""
 
 
-def _atomic_write(path: Path, chunks: list[bytes]) -> str:
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> str:
     """Write chunks to path atomically, creating its parent directories;
     returns the SHA-256 hex digest of the bytes written."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -254,102 +255,220 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _printed(column: np.ndarray) -> np.ndarray:
-    """Each row's value as `_fmt` prints it, formatting every distinct value
-    once. Values are told apart by bit pattern, not by float equality:
-    0.0 == -0.0, but they print as 0 and -0."""
-    bits, row_text = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()],
-                    dtype=object)
-    return text[row_text]
+# --- %.17g for arrays --------------------------------------------------------
+#
+# `_cells_17g` prints a float array as `_fmt` prints each value, with NumPy
+# operations on whole arrays; the few values it cannot prove it prints
+# exactly go through `_fmt`. Its tables are built on first use (~6 ms), not
+# at import.
+
+_CELL = 32                 # bytes per printed value, NUL-padded
+_TIE_MARGIN = 1e-9         # 10**5 times the error bound of `_digits_17g`
+_VELTKAMP = 134217729.0    # 2**27 + 1
+_K_LO, _K_HI = -325, 309   # table rows; log10 of any double is clipped to them
+# Layout classes: %g's fixed notation for k = -4..16 (class k + 4), its
+# exponent notation, zero, and values left to `_fmt`.
+_EXPONENT, _ZERO, _SCALAR = 21, 22, 23
+_LE64 = np.dtype("<u8")    # byte i of a word is bits 8i..8i+7 on any host
 
 
-def _format_rows(columns: list[np.ndarray], start: int,
-                 stop: int) -> list[bytes]:
-    """Encoded CSV lines of rows start:stop, one `%` and one bytes object
-    per block of rows.
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each part with at most 26 significant bits. If
+    (2**27 + 1)·a overflows, both parts are NaN."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
 
-    A block at a time: turning a whole 256x128 grid into Python objects at
-    once fragments the small-object heap, and peak RSS then creeps up over
-    repeated exports.
+
+def _words(b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (..., 8n) bytes b as n arrays of little-endian 64-bit words."""
+    w = np.ascontiguousarray(b, dtype=np.uint8).view(_LE64).astype(np.uint64)
+    return tuple(np.ascontiguousarray(w[..., j]) for j in range(w.shape[-1]))
+
+
+@functools.cache
+def _g17_tables() -> dict[str, np.ndarray]:
+    """The read-only tables of `_cells_17g`: per k in [_K_LO, _K_HI] the
+    scale 10**(16-k), the layout class and the exponent suffix; per 4-digit
+    chunk its ASCII and trailing zeros; and the layout masks, indexed by
+    class and sign or by class and trailing zeros."""
+    k = np.arange(_K_LO, _K_HI + 1)
+    hi, lo = np.full(k.size, np.nan), np.full(k.size, np.nan)
+    for i, e in enumerate((16 - k).tolist()):  # hi + lo = 10**e to 2**-106
+        if 0 <= e <= 308:
+            hi[i] = float(10 ** e)
+            lo[i] = 10 ** e - int(hi[i])
+        elif e < 0:
+            hi[i] = 1 / 10 ** -e           # int / int rounds correctly
+            num, den = hi[i].as_integer_ratio()
+            lo[i] = (den - num * 10 ** -e) / (den * 10 ** -e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi_hi, hi_lo = _veltkamp(hi)
+    # Word 3 of an exponent-notation cell: "e+XX" or "e-XXX" from byte 1.
+    suffix = np.zeros((k.size, 8), np.uint8)
+    for i, kk in enumerate(k.tolist()):
+        text = b"e%+03d" % kk
+        suffix[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+
+    # The 24-byte digit string E of a value: "-000000" then the 17 digits
+    # of D, so digit j is byte 7 + j. A class keeps bytes first..last of E
+    # as the integer part (and byte 0 for a negative value), and the bytes
+    # after `last` up to the last nonzero digit as the fraction, which goes
+    # one byte further on with a '.' in front.
+    fixed = np.arange(-4, 17)
+    first = np.r_[7 + np.minimum(fixed, 0), 7, 6, 24]
+    last = np.r_[7 + fixed, 7, 6, -1]
+    b = np.arange(24)
+    cls = np.arange(24)[:, None, None]
+    neg = np.arange(2)[:, None]
+    zeros = np.arange(17)[:, None]         # trailing zeros of D
+    keep_int = ((b >= first[cls]) & (b <= last[cls])) | ((b == 0) & (neg == 1))
+    keep_frac = ((b > last[cls]) & (b < 24 - zeros)) & (cls < _ZERO)
+    dot = (b == last[cls]) & keep_frac.any(axis=-1, keepdims=True)
+    c = np.arange(10000)
+    quad = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
+    tables = {
+        "scale": np.stack([hi, hi_hi, hi_lo, lo]),
+        "class": np.where((k >= -4) & (k <= 16), k + 4, _EXPONENT),
+        "suffix": _words(suffix)[0],
+        # four ASCII digits of 0..9999 in the low half of a word
+        "quad": (quad + ord("0")).astype(np.uint8).view("<u4")[:, 0]
+                .astype(np.uint64),
+        "lead": np.frombuffer(b"".join(b"-000000%d" % d for d in range(10)),
+                              _LE64).astype(np.uint64),
+        "quad_zeros": ((c % 10 == 0).astype(np.uint8) + (c % 100 == 0)
+                       + (c % 1000 == 0) + (c == 0)),
+        "int_mask": _words(np.where(keep_int, 255, 0).reshape(-1, 24)),
+        "frac_mask": _words(np.where(keep_frac, 255, 0).reshape(-1, 24)),
+        "dot": _words(np.where(dot, ord("."), 0).reshape(-1, 24)),
+    }
+    for t in tables.values():
+        for a in (t if isinstance(t, tuple) else (t,)):
+            a.setflags(write=False)
+    return tables
+
+
+def _digits_17g(x: np.ndarray, tab: dict) -> tuple[np.ndarray, ...]:
+    """(D, row, ok) for magnitudes x: the 17 digits %.17g prints as an
+    integer D, the table row of k = floor(log10 x), and where D and k are
+    exact. `_fmt` prints the values where ok is False.
+
+    For x > 0 let y = x·10**(16-k), so 10**16 <= y < 10**17 and %.17g prints
+    the digits of D = round-half-even(y) with %g's exponent k. The table
+    holds 10**(16-k) as hi + lo to within 2**-106 relative. Dekker's
+    two-product (Veltkamp splits of x and hi) gives p = fl(x·hi) and its
+    rounding error e exactly, and with t = e + fl(x·lo), since |t| < 20 and
+    y < 10**17,
+
+        |y - (p + t)| <= (|x·lo| + |t|)·2**-53 + y·2**-106 < 1e-14.
+
+    p >= 2**53 is an integer, so D = p + rint(t) whenever the fraction of t
+    is more than `_TIE_MARGIN` from 1/2. log10 may come out one too large
+    next to a power of ten; then y < 10**16, and (p - 10**16) + t < 0 shows
+    it, because no double but 10**k itself has |y - 10**16| < 1.6e-3. ok is
+    False where t misses the margin (exact ties among them), where
+    (p - 10**16) + t < 0, where D >= 10**17 (log10 one too small, or y
+    rounding up to 10**17), and where t is NaN: for NaN, inf, 0, subnormals,
+    and x or 10**(16-k) above 1.3e300, where a Veltkamp split overflows.
     """
-    out = []
-    for a in range(start, stop, _FIELDS_CSV_BLOCK):
-        b = min(a + _FIELDS_CSV_BLOCK, stop)
-        cells = np.empty((b - a, len(columns)), dtype=object)
-        for k, col in enumerate(columns):
-            cells[:, k] = col[a:b]
-        text = _FIELDS_CSV_LINE * (b - a) % tuple(cells.ravel().tolist())
-        out.append(text.encode())
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.fmin(np.fmax(np.floor(np.log10(x)), _K_LO), _K_HI)
+        row = (k - _K_LO).astype(np.intp)
+        hi, hi_hi, hi_lo, lo = (np.take(s, row) for s in tab["scale"])
+        p = x * hi
+        x_hi, x_lo = _veltkamp(x)
+        err = ((x_hi * hi_hi - p) + x_hi * hi_lo + x_lo * hi_hi) + x_lo * hi_lo
+        t = err + x * lo
+        r = np.rint(t)
+        d = p.astype(np.intp) + r.astype(np.intp)
+    ok = ((np.abs(t - r) < 0.5 - _TIE_MARGIN) & ((p - 10**16) + t >= 0)
+          & (d < 10**17))
+    return d, row, ok
 
 
-def _fork_rows(columns: list[np.ndarray], start: int, stop: int,
-               earlier: list[tuple[int, BinaryIO]]) -> tuple[int, BinaryIO]:
-    """Format rows start:stop in a forked child; returns its pid and the
-    read end of the pipe it writes the encoded lines to. `earlier` holds the
-    (pid, reader) pairs of children already started."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            for _, reader in earlier:
-                reader.close()
-            with open(w, "wb") as fh:
-                fh.writelines(_format_rows(columns, start, stop))
-            status = 0
-        finally:
-            # Never return into the caller's stack: its finally blocks,
-            # atexit hooks and buffered output belong to the parent.
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+def _cells_17g(values: np.ndarray) -> np.ndarray:
+    """Each value as `%.17g` prints it, as NUL-padded bytes: an array of
+    shape values.shape + (32,) whose last byte is always NUL.
+
+    `_digits_17g` gives the digits; the values it cannot vouch for are
+    printed by `_fmt`, and ±0 print as 0 and -0. D's digits come four at a
+    time from a table, and its trailing zeros from the four 4-digit chunks.
+    The value's class (fixed notation at k, exponent notation, zero, or
+    `_fmt`), sign and trailing zeros select masks that keep the integer
+    digits in place and the fraction digits, led by '.', one byte further
+    on; NUL stands for every dropped byte.
+    """
+    tab = _g17_tables()
+    v = np.asarray(values, dtype=np.float64)
+    d, row, ok = _digits_17g(np.abs(v), tab)
+    cls = np.where(ok, np.take(tab["class"], row), _SCALAR)
+    cls[v == 0] = _ZERO
+    d[~ok] = 10**16
+    high, low = d // 10**8, d % 10**8      # intp: np.take's fast index type
+    chunks = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
+    q = [np.take(tab["quad"], c) for c in chunks]
+    digits = [np.take(tab["lead"], high // 10**8), q[0] | q[1] << 32,
+              q[2] | q[3] << 32]
+    zeros = np.take(tab["quad_zeros"], chunks[0])
+    for c in chunks[1:]:
+        z = np.take(tab["quad_zeros"], c)
+        zeros = z + (z == 4) * zeros
+    by_sign = cls * 2 + np.signbit(v)
+    by_zeros = cls * 17 + zeros
+    whole = [w & np.take(m, by_sign) for w, m in zip(digits, tab["int_mask"])]
+    frac = [(w & np.take(m, by_zeros)) | np.take(dot, by_zeros)
+            for w, m, dot in zip(digits, tab["frac_mask"], tab["dot"])]
+    suffix = np.where(cls == _EXPONENT, np.take(tab["suffix"], row), 0)
+    cells = np.stack([whole[0] | frac[0] << 8,
+                      whole[1] | frac[1] << 8 | frac[0] >> 56,
+                      whole[2] | frac[2] << 8 | frac[1] >> 56,
+                      frac[2] >> 56 | suffix], axis=-1)
+    cells = cells.astype(_LE64, copy=False).view(np.uint8)
+    for i in zip(*np.nonzero(cls == _SCALAR)):
+        text = _fmt(v[i]).encode()
+        cells[i] = 0
+        cells[i][:len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
+def _distinct_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, row_cell): `_cells_17g` of each distinct value of column, and
+    each row's index into them. Values are told apart by bit pattern, not by
+    float equality: 0.0 == -0.0, but they print as 0 and -0."""
+    bits, row_cell = np.unique(column.view(np.uint64), return_inverse=True)
+    return _cells_17g(bits.view(np.float64)), row_cell
+
+
+def _fields_csv_chunks(samples: np.recarray):
+    """The bytes of fields.csv: the header, then one chunk per block of
+    `_FIELDS_CSV_BLOCK` rows, built as one uint8 matrix of NUL-padded cells
+    and commas whose NULs are then dropped (`bytes.translate` drops them
+    faster than a boolean mask)."""
+    yield (FIELDS_CSV_HEADER + "\n").encode()
+    q_cells, q_row = _distinct_cells(samples["q"])
+    p_cells, p_row = _distinct_cells(samples["p"])
+    for a in range(0, len(samples), _FIELDS_CSV_BLOCK):
+        b = min(a + _FIELDS_CSV_BLOCK, len(samples))
+        lines = np.zeros((b - a, 10 * _CELL + 2), np.uint8)
+        cells = lines[:, :10 * _CELL].reshape(b - a, 10, _CELL)
+        cells[:, 0] = q_cells[q_row[a:b]]
+        cells[:, 1] = p_cells[p_row[a:b]]
+        cells[:, 2:] = _cells_17g(np.stack(
+            [samples[name][a:b] for name in _FIELDS_CSV_FLOATS], axis=1))
+        cells[:, :, -1] = ord(",")
+        lines[:, -2] = np.where(samples["excluded"][a:b], ord("1"), ord("0"))
+        lines[:, -1] = ord("\n")
+        yield lines.tobytes().translate(None, b"\0")
 
 
 def write_fields_csv(samples: np.recarray, path: str | Path) -> str:
-    """Export `physical_grid` records with the fixed header; floats carry 17
-    significant digits. Returns the file's SHA-256.
+    """Export `physical_grid` records with the fixed header; floats are
+    printed as `%.17g`. Returns the file's SHA-256.
 
-    The rows are split on block boundaries into one contiguous slice per
-    core this process may use. The caller formats the first slice and a
-    forked child each other one; the file is written, atomically, only
-    after every child has exited cleanly, else OSError is raised.
+    The file is written atomically, a block of rows at a time; if a block
+    fails, neither the file nor its temp file is left behind.
     """
-    n = len(samples)
-    columns = [_printed(samples["q"]), _printed(samples["p"]),
-               *(samples[name] for name in _FIELDS_CSV_FLOATS),
-               np.where(samples["excluded"], "1", "0")]
-    blocks = -(-n // _FIELDS_CSV_BLOCK)
-    workers = 1  # where the platform cannot fork or report its affinity
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = max(1, min(len(os.sched_getaffinity(0)), blocks))
-    edges = [min(n, k * blocks // workers * _FIELDS_CSV_BLOCK)
-             for k in range(workers + 1)]
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for start, stop in zip(edges[1:-1], edges[2:]):
-            children.append(_fork_rows(columns, start, stop, children))
-        parts = [(FIELDS_CSV_HEADER + "\n").encode(),
-                 *_format_rows(columns, 0, edges[1])]
-        parts += [reader.read() for _, reader in children]
-    finally:
-        # Closing the pipes first lets a child blocked on a full pipe fail
-        # and exit, so that waiting for it cannot hang.
-        for _, reader in children:
-            reader.close()
-        failed = [pid for pid, _ in children
-                  if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0]
-    if failed:
-        raise OSError(f"fields.csv: {len(failed)} of {len(children)} "
-                      f"formatting processes failed")
-    return _atomic_write(Path(path), parts)
+    return _atomic_write(Path(path), _fields_csv_chunks(samples))
 
 
 def _sha256(path: str | Path) -> str:

@@ -5,10 +5,12 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stokespressure
 from stokespressure import cli_io
@@ -149,11 +151,14 @@ def test_fields_export_bytes_follow_grid_arrays(sol_005, tmp_path):
     assert json.loads((tmp_path / "fields.json").read_text()) == records
 
 
-# --- parallel fields.csv export ----------------------------------------------
+# --- fields.csv export -------------------------------------------------------
+
+B = cli_io._FIELDS_CSV_BLOCK
+
 
 def _per_row_fields_csv(samples) -> bytes:
-    """The serial per-row writer the parallel export must match byte for
-    byte: one `%` per row over `tolist()` blocks of 1,024 rows."""
+    """The per-row writer the export must match byte for byte: one `%` per
+    row over `tolist()` blocks of 1,024 rows."""
     row = ",".join(["%.17g"] * 10 + ["%d"])
     lines = [FIELDS_CSV_HEADER]
     for start in range(0, len(samples), 1024):
@@ -161,20 +166,109 @@ def _per_row_fields_csv(samples) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _cores(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
+def _printed_17g(values) -> bytes:
+    """`_cells_17g` of values with the NULs dropped, one value per line."""
+    cells = cli_io._cells_17g(np.asarray(values, dtype=np.float64))
+    lines = np.concatenate([cells.reshape(-1, cli_io._CELL),
+                            np.full((cells.size // cli_io._CELL, 1), ord("\n"),
+                                    np.uint8)], axis=1)
+    return lines[lines != 0].tobytes()
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _percent_17g(values) -> bytes:
+    return b"".join(b"%.17g\n" % v for v in
+                    np.asarray(values, dtype=np.float64).ravel().tolist())
 
 
-@pytest.fixture(scope="module")
-def grid_013(sol_013):
-    cfg = WaveConfig(mode_count=512, grid_nq=256, grid_np=128)
-    return physical_grid(sol_013, cfg)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=1, max_size=64))
+def test_cells_17g_print_floats_as_percent_17g(values):
+    assert _printed_17g(values) == _percent_17g(values)
+
+
+def test_cells_17g_print_random_doubles_as_percent_17g():
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    # Random bit patterns reach every exponent; the scaled normals fill the
+    # fixed-notation range k = -4..16 that the fields mostly take.
+    scaled = (rng.standard_normal(100_000)
+              * 10.0 ** rng.uniform(-7, 19, 100_000))
+    for values in (bits.view(np.float64), scaled, scaled.reshape(-1, 8)):
+        assert _printed_17g(values) == _percent_17g(values)
+
+
+# Exact ties y = |x|·10**(16-k) = N + 1/2 with 10**(16-k) not a double:
+# M·2**(-1-e) for e = 16 - k in {23, 24} and odd M.
+_EXACT_TIES = [m * 2.0 ** (-1 - e)
+               for e, ms in ((23, range(3, 17, 2)), (24, (1, 3))) for m in ms]
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.0, "0"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (1e16, "10000000000000000"), (1e17, "1e+17"),
+    (9.9999999999999995e-05, "9.9999999999999991e-05"), (1e-4, "0.0001"),
+    (1e-5, "1.0000000000000001e-05"),
+    (1e15 + 0.25, "1000000000000000.2"), (1e15 + 0.75, "1000000000000000.8"),
+    (-123.5, "-123.5"), (100.0, "100"), (1e23, "9.9999999999999992e+22"),
+    (1e-6, "9.9999999999999995e-07"),
+    (3 * 2.0 ** -24, "1.7881393432617188e-07"),
+])
+def test_cells_17g_edge_values(value, text):
+    assert format(value, ".17g") == text
+    assert _printed_17g([value, -value]) == _percent_17g([value, -value])
+
+
+def test_cells_17g_send_only_unprovable_values_to_fmt(monkeypatch):
+    # The fast path ends where a Veltkamp split overflows: 10**(16-k) above
+    # 1.3e300 (k < -284) or |x| above 1.3e300. Exact ties go to `_fmt` too,
+    # and so does 1e-6, whose log10 comes out one too large.
+    printed, fmt = [], cli_io._fmt
+    monkeypatch.setattr(cli_io, "_fmt", lambda x: printed.append(x) or fmt(x))
+    inside = [1e-284, 1.3e300, 1e299, 1e16, 0.0, -0.0]
+    outside = [1e-285, 1.4e300, 1e-300, 5e-324, math.nan, -math.inf, 1e-6,
+               *_EXACT_TIES]
+    assert _printed_17g(inside + outside) == _percent_17g(inside + outside)
+    assert _percent_17g(printed) == _percent_17g(outside)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_cells_17g_stay_exact_within_their_error_bound(sign, monkeypatch):
+    # Shift each table entry 10**(16-k) by 1e-31 of itself, which moves the
+    # estimate of y = |x|·10**(16-k) by under 1e-14, the stated error bound:
+    # the tie margin must still send exact ties to `_fmt`.
+    tables = dict(cli_io._g17_tables())
+    hi, hi_hi, hi_lo, lo = tables["scale"]
+    tables["scale"] = np.stack([hi, hi_hi, hi_lo, lo + sign * 1e-31 * hi])
+    monkeypatch.setattr(cli_io, "_g17_tables", lambda: tables)
+    values = _EXACT_TIES + [0.1, 1 / 3, 2.0 ** -30, 1e-7 / 3]
+    assert _printed_17g(values) == _percent_17g(values)
+
+
+@pytest.mark.parametrize("towards", [-math.inf, math.inf])
+def test_cells_17g_survive_a_log10_one_ulp_off(towards, monkeypatch):
+    # Another libm may round log10 differently next to a power of ten; k is
+    # then one off either way, and the checks on D must send the value to
+    # `_fmt`.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10",
+                        lambda x: np.nextafter(log10(x), towards))
+    powers = [10.0 ** n for n in range(-30, 31)]
+    values = [math.nextafter(p, to) for p in powers for to in (0, math.inf)]
+    assert _printed_17g(powers + values) == _percent_17g(powers + values)
+
+
+def test_doubles_keep_clear_of_powers_of_ten():
+    # `_cells_17g` reads log10 one too large from the sign of its estimate
+    # of |x|·10**(16-k) - 10**16, which errs by under 1e-14.
+    for k in range(-284, 301):
+        ten_k = Fraction(10) ** k
+        nearest = float(ten_k)
+        for x in (math.nextafter(nearest, 0), nearest,
+                  math.nextafter(nearest, math.inf)):
+            if Fraction(x) != ten_k:
+                assert abs(Fraction(x) / ten_k - 1) * 10**16 > 1.6e-3, x
 
 
 def _special_records(dtype, n=2500):
@@ -193,74 +287,70 @@ def _special_records(dtype, n=2500):
     return rec
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_fields_csv_bytes_match_the_per_row_writer(grid_013, cores,
-                                                   monkeypatch, tmp_path):
-    _cores(monkeypatch, cores)
-    cases = ([grid_013] + [grid_013[:n] for n in (1, 1023, 1024, 1025, 3073)]
-             + [_special_records(grid_013.dtype)])
-    for i, samples in enumerate(cases):
-        path = tmp_path / f"{i}.csv"
+@pytest.fixture(scope="module")
+def grid_013(sol_013):
+    cfg = WaveConfig(mode_count=512, grid_nq=256, grid_np=128)
+    return physical_grid(sol_013, cfg)
+
+
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 1])
+def test_fields_csv_bytes_match_the_per_row_writer(grid_013, rows, tmp_path):
+    for samples in (grid_013[:rows], _special_records(grid_013.dtype, rows)):
+        path = tmp_path / "fields.csv"
         write_fields_csv(samples, path)
-        assert path.read_bytes() == _per_row_fields_csv(samples), len(samples)
-    _assert_no_child_left()
+        assert path.read_bytes() == _per_row_fields_csv(samples)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_fields_csv_leaves_no_child_process(grid_013, monkeypatch, tmp_path):
-    # 3,073 rows on three cores: each child's slice overflows a pipe buffer,
-    # so a child is still blocked writing when the caller's own slice fails.
-    _cores(monkeypatch, 3)
-    samples = grid_013[:3073]
-    write_fields_csv(samples, tmp_path / "ok.csv")
-    _assert_no_child_left()
-    caller = os.getpid()
-    format_rows = cli_io._format_rows
+def test_fields_csv_export_needs_no_fork(grid_013, monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError("the fields.csv export forked")
 
-    def failing_in(where):
-        def rows(columns, start, stop):
-            if (os.getpid() == caller) == (where == "caller"):
-                raise RuntimeError(f"formatting failed in the {where}")
-            return format_rows(columns, start, stop)
-        return rows
-
-    for where, error in (("child", OSError), ("caller", RuntimeError)):
-        monkeypatch.setattr(cli_io, "_format_rows", failing_in(where))
-        with pytest.raises(error):
-            write_fields_csv(samples, tmp_path / "fields.csv")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv"]
-        _assert_no_child_left()
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    path = tmp_path / "fields.csv"
+    write_fields_csv(grid_013[:3 * B + 1], path)
+    assert path.read_bytes() == _per_row_fields_csv(grid_013[:3 * B + 1])
 
 
-def test_fields_csv_work_is_split_and_q_p_printed_once(grid_013, monkeypatch,
-                                                       tmp_path):
-    # A count guard, not a time guard: on two cores the caller formats at
-    # most half of a 256x128 grid's 32 blocks itself, and each distinct q and
-    # p value is printed once, not once per row.
-    _cores(monkeypatch, 2)
-    caller = os.getpid()
-    own_blocks, printed = [], []
-    format_rows, fmt = cli_io._format_rows, cli_io._fmt
+def test_fields_csv_failure_mid_stream_leaves_no_file(grid_013, monkeypatch,
+                                                      tmp_path):
+    cells, calls = cli_io._cells_17g, []
 
-    def rows(columns, start, stop):
-        if os.getpid() == caller:
-            own_blocks.append(-(-(stop - start) // cli_io._FIELDS_CSV_BLOCK))
-        return format_rows(columns, start, stop)
+    def second_block_fails(values):
+        calls.append(values.shape)
+        if len(calls) == 4:  # q's and p's distinct values, then two blocks
+            assert [p.name for p in tmp_path.iterdir()] != []
+            raise RuntimeError("formatting failed")
+        return cells(values)
 
-    def counted_fmt(x):
-        printed.append(x)
-        return fmt(x)
+    monkeypatch.setattr(cli_io, "_cells_17g", second_block_fails)
+    with pytest.raises(RuntimeError):
+        write_fields_csv(grid_013[:3 * B + 1], tmp_path / "fields.csv")
+    assert list(tmp_path.iterdir()) == []
 
-    monkeypatch.setattr(cli_io, "_format_rows", rows)
-    monkeypatch.setattr(cli_io, "_fmt", counted_fmt)
-    write_fields_csv(grid_013, tmp_path / "fields.csv")
-    blocks = -(-len(grid_013) // cli_io._FIELDS_CSV_BLOCK)
-    assert blocks == 32
-    if hasattr(os, "fork"):
-        assert 0 < sum(own_blocks) <= -(-blocks // 2)
-    distinct = [*np.unique(grid_013.q), *np.unique(grid_013.p)]
-    assert len(distinct) == 256 + 128
-    assert sorted(printed) == sorted(distinct)
+
+def test_fields_csv_prints_q_p_once_and_floats_without_fmt(grid_013,
+                                                          monkeypatch,
+                                                          tmp_path):
+    # A count guard, not a time guard: each distinct q and p value is
+    # formatted once, the floats a block at a time, and on a real grid no
+    # value takes the scalar `_fmt`.
+    sizes, printed = [], []
+    cells, fmt = cli_io._cells_17g, cli_io._fmt
+    monkeypatch.setattr(cli_io, "_cells_17g",
+                        lambda v: sizes.append(v.size) or cells(v))
+    monkeypatch.setattr(cli_io, "_fmt", lambda x: printed.append(x) or fmt(x))
+    path = tmp_path / "fields.csv"
+    write_fields_csv(grid_013, path)
+    assert sizes == [256, 128] + [8 * B] * (len(grid_013) // B)
+    assert printed == []
+    assert path.read_bytes() == _per_row_fields_csv(grid_013)
+
+    # 5e-324 is the one distinct q and p value outside the fast path.
+    special = _special_records(grid_013.dtype)
+    write_fields_csv(special, path)
+    floats = np.stack([special[name] for name in cli_io._FIELDS_CSV_FLOATS])
+    assert len(printed) == np.count_nonzero(~np.isfinite(floats)) + 2
+    assert path.read_bytes() == _per_row_fields_csv(special)
 
 
 # --- subcommands -------------------------------------------------------------
