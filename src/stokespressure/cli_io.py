@@ -396,7 +396,9 @@ def _cells_17g(values: np.ndarray) -> np.ndarray:
     The value's class (fixed notation at k, exponent notation, zero, or
     `_fmt`), sign and trailing zeros select masks that keep the integer
     digits in place and the fraction digits, led by '.', one byte further
-    on; NUL stands for every dropped byte.
+    on; NUL stands for every dropped byte. The four 8-byte words of each
+    cell are written into the result one at a time, and every intermediate
+    is dropped once used, so few block-sized temporaries are alive at once.
     """
     tab = _g17_tables()
     v = np.asarray(values, dtype=np.float64)
@@ -404,27 +406,43 @@ def _cells_17g(values: np.ndarray) -> np.ndarray:
     cls = np.where(ok, np.take(tab["class"], row), _SCALAR)
     cls[v == 0] = _ZERO
     d[~ok] = 10**16
+    del ok
+    words = np.empty(v.shape + (4,), _LE64)
+    words[..., 3] = np.where(cls == _EXPONENT, np.take(tab["suffix"], row), 0)
+    del row
     high, low = d // 10**8, d % 10**8      # intp: np.take's fast index type
+    del d
+    lead = high // 10**8
     chunks = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    q = [np.take(tab["quad"], c) for c in chunks]
-    digits = [np.take(tab["lead"], high // 10**8), q[0] | q[1] << 32,
-              q[2] | q[3] << 32]
+    del high, low
     zeros = np.take(tab["quad_zeros"], chunks[0])
     for c in chunks[1:]:
         z = np.take(tab["quad_zeros"], c)
         zeros = z + (z == 4) * zeros
+    scalar = np.nonzero(cls == _SCALAR)
     by_sign = cls * 2 + np.signbit(v)
     by_zeros = cls * 17 + zeros
-    whole = [w & np.take(m, by_sign) for w, m in zip(digits, tab["int_mask"])]
-    frac = [(w & np.take(m, by_zeros)) | np.take(dot, by_zeros)
-            for w, m, dot in zip(digits, tab["frac_mask"], tab["dot"])]
-    suffix = np.where(cls == _EXPONENT, np.take(tab["suffix"], row), 0)
-    cells = np.stack([whole[0] | frac[0] << 8,
-                      whole[1] | frac[1] << 8 | frac[0] >> 56,
-                      whole[2] | frac[2] << 8 | frac[1] >> 56,
-                      frac[2] >> 56 | suffix], axis=-1)
-    cells = cells.astype(_LE64, copy=False).view(np.uint8)
-    for i in zip(*np.nonzero(cls == _SCALAR)):
+    del cls, zeros
+    # Word j holds digit bytes 8j..8j+7: "-000000" and the lead digit, then
+    # two 4-digit chunks per word. Its fraction bytes move one byte on, the
+    # last of them into word j + 1.
+    carry = 0
+    for j in range(3):
+        if j == 0:
+            digits = np.take(tab["lead"], lead)
+        else:
+            digits = np.take(tab["quad"], chunks[2 * j - 2])
+            digits |= np.take(tab["quad"], chunks[2 * j - 1]) << 32
+        frac = digits & np.take(tab["frac_mask"][j], by_zeros)
+        frac |= np.take(tab["dot"][j], by_zeros)
+        digits &= np.take(tab["int_mask"][j], by_sign)
+        digits |= frac << 8
+        digits |= carry
+        words[..., j] = digits
+        carry = frac >> 56
+    words[..., 3] |= carry
+    cells = words.view(np.uint8)
+    for i in zip(*scalar):
         text = _fmt(v[i]).encode()
         cells[i] = 0
         cells[i][:len(text)] = np.frombuffer(text, np.uint8)

@@ -14,7 +14,10 @@ The pressure gradient is computed along the momentum-balance route
 against the algebraically equivalent shortcut P_x = u_q / D. These formulas
 are written once, in `_fields`: pointwise functions apply it to the
 scattered-point jet (at one point, or at every point of a StripPoint that
-carries arrays), grids and exported records to the tensor-grid jet.
+carries arrays), grids and exported records to the tensor-grid jet. On the
+half-period strip grid, crest line to trough line, that jet is one real FFT
+per row (`eval_jet_grid`), so this module builds no cos or sin table, and
+h_q, hence v and P_x, is exactly 0 on the crest and trough columns.
 
 Near the limiting wave the crest approaches a stagnation point, D blows up
 and pointwise values within a small disc around the crest stop being
@@ -232,8 +235,7 @@ def surface(sol: ConformalSolution, m: int = 256,
     cfg = cfg or _DEFAULT
     if m < 16:
         raise ValueError("need at least 16 surface samples")
-    theta = np.linspace(0.0, np.pi, m + 1)
-    q = sol.c * theta
+    q = np.linspace(0.0, np.pi * sol.c, m + 1)
     jets = eval_jet_grid(sol, q, np.array([0.0]))
     h_q, h_p, h_qq, h_qp = jets.h_q[0], jets.h_p[0], jets.h_qq[0], jets.h_qp[0]
     slope = h_q / h_p

@@ -258,9 +258,15 @@ def eval_conformal_jet(sol: ConformalSolution, pt: StripPoint) -> ConformalJet:
 def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> ConformalJet:
     """Jet of the solution on the tensor grid q x p, p rows by q columns.
 
-    Tensor-grid form of the sums of `eval_conformal_jet`: the depth and
-    angle factors separate, so the sums are a handful of (np, N) @ (N, nq)
-    products. Returns a `ConformalJet` of (len(p), len(q)) arrays that agrees
+    On the half-period grid, q bit for bit ``np.linspace(0, pi*c, nq)`` with
+    nq >= 2 (the strip grid's columns, crest line to trough line), the
+    angles are theta_j = j pi / (nq - 1) = 2 pi j / M with M = 2 (nq - 1),
+    so each row's sums of k^i a_k e^{k p / c} e^{i k theta_j}, i = 0, 1, 2,
+    are one real FFT of length M of those weights folded mod M: the real
+    part gives the cosine sums, minus the imaginary part the sine sums. Bin
+    0 and the Nyquist bin are real, so h_q and h_qp are exactly 0 on the
+    crest and trough columns. Any other q goes through the scattered-point
+    jet. Returns a `ConformalJet` of (len(p), len(q)) arrays that agrees
     with the scattered-point jet to rounding.
     """
     q = np.asarray(q, dtype=float)
@@ -270,15 +276,22 @@ def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> Confo
     if p.size and p.max() > 0.0:
         raise ValueError("grid rows must satisfy p <= 0")
     c = sol.c
+    nq = q.size
+    if nq < 2 or not np.array_equal(q, np.linspace(0.0, np.pi * c, nq)):
+        return _jet_points(sol, q[None, :], p[:, None])
     n = sol.coeffs.size
+    m = 2 * (nq - 1)
     k = np.arange(1.0, n + 1.0)
-    # (np, N) coefficient-weighted depth factors; (nq, N) trig factors.
-    E = np.exp(np.outer(p / c, k)) * sol.coeffs
-    C = np.cos(np.outer(q / c, k))
-    S = np.sin(np.outer(q / c, k))
-    weighted = (E, E * k, E * k * k)
-    return _jet(c, q[None, :], p[:, None], [w @ C.T for w in weighted],
-                [w @ S.T for w in weighted])
+    # w[i] holds k^i a_k e^{kp/c} at index k of each row, zero-padded to
+    # whole M-long pieces; summing the pieces folds k mod M.
+    w = np.zeros((3, p.size, -(-(n + 1) // m) * m))
+    w[0, :, 1:n + 1] = np.exp(np.outer(p / c, k)) * sol.coeffs
+    w[1, :, 1:n + 1] = w[0, :, 1:n + 1] * k
+    w[2, :, 1:n + 1] = w[1, :, 1:n + 1] * k
+    sums = np.fft.rfft(w.reshape(3, p.size, -1, m).sum(axis=2), axis=-1)
+    # 0 - Im, not -Im: the sine sums on the crest and trough columns are
+    # +0, as a sum of w_k sin(0) is, so v and f there are 0, not -0.
+    return _jet(c, q[None, :], p[:, None], sums.real, 0.0 - sums.imag)
 
 
 def steepness(sol: ConformalSolution) -> float:

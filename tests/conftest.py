@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,19 @@ def sol_013():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture()
+def no_trig(monkeypatch):
+    """A context manager inside which np.cos and np.sin raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.cos or np.sin called")
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as m:
+            m.setattr(np, "cos", refuse)
+            m.setattr(np, "sin", refuse)
+            yield
+
+    return patched

@@ -242,6 +242,24 @@ def test_grid_excluded_flags_match_pointwise(sol_013):
             assert bool(gf.excluded[i, j]) == s.excluded
 
 
+def test_strip_grid_deep_rows_and_surface_build_no_trig_tables(
+        sol_013, no_trig):
+    # The strip grid, a deep row on its columns and the surface profile sum
+    # on the half-period grid by real FFT, and P_x and v vanish exactly on
+    # the crest and trough lines, v as +0 (fields.csv prints 0, not -0).
+    cfg = WaveConfig(mode_count=512)
+    with no_trig():
+        rows = physical_grid(sol_013, cfg).reshape(cfg.grid_np, cfg.grid_nq)
+        deep = grid_fields(sol_013, rows.q[0], np.array([-20.0 * sol_013.c]),
+                           cfg)
+        prof = surface(sol_013, m=256, cfg=cfg)
+    for name in ("P_x", "v"):
+        assert (rows[name][:, [0, -1]] == 0.0).all(), name
+        assert (getattr(deep, name)[:, [0, -1]] == 0.0).all(), name
+    assert not np.signbit(rows["v"][:, [0, -1]]).any()
+    assert prof.slope[0] == 0.0 and prof.slope[-1] == 0.0
+
+
 # --- surface and curvature ---------------------------------------------------
 
 def test_surface_profile_shape(sol_010):

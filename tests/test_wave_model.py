@@ -175,7 +175,7 @@ def test_jet_identities_exact_by_construction():
 
 
 def test_grid_matches_scalar_eval(sol_005):
-    q = np.linspace(0.0, sol_005.period_q, 7)
+    q = np.linspace(0.0, math.pi * sol_005.c, 7)
     p = np.array([-1.5, -0.25, 0.0])
     grid = eval_jet_grid(sol_005, q, p)
     assert grid.h.shape == (3, 7)
@@ -230,7 +230,7 @@ def test_point_jet_shapes_blocks_and_one_point_case(sol_005):
         for name in _JET_FIELDS:
             assert getattr(jet, name)[i] == pytest.approx(
                 getattr(one, name), rel=1e-14, abs=1e-15)
-    qg = np.linspace(0.0, sol_005.period_q, 7)
+    qg = np.linspace(0.0, math.pi * sol_005.c, 7)
     pg = np.array([-1.5, -0.25, 0.0])
     grid = eval_jet_grid(sol_005, qg, pg)
     pts = eval_conformal_jet(sol_005, StripPoint(qg[None, :], pg[:, None]))
@@ -244,6 +244,57 @@ def test_point_jet_shapes_blocks_and_one_point_case(sol_005):
         StripPoint(np.array([0.1, 0.2]), np.array([-0.5, 1e-9]))
     assert isinstance(eval_conformal_jet(sol_005, StripPoint(0.4, -0.3)).h,
                       float)
+
+
+# --- half-period grid jet ----------------------------------------------------
+
+@pytest.mark.parametrize("wave, nq", [("sol_013", 256), ("sol_013", 513),
+                                      ("sol_1024", 256), ("sol_1024", 9)])
+def test_half_period_grid_matches_extended_precision_sums(wave, nq, request,
+                                                          no_trig):
+    # nq = 256 folds 2 (nq - 1) = 510 < N wavenumbers; the columns include
+    # the crest and trough lines and the last row is the surface
+    sol = request.getfixturevalue(wave)
+    assert sol.mode_count >= 512 and steepness(sol) > 0.129
+    q = np.linspace(0.0, math.pi * sol.c, nq)
+    p = np.array([-4.0 * sol.c, -1.0, -0.1, 0.0])
+    with no_trig():
+        grid = eval_jet_grid(sol, q, p)
+    refs = [[oracles.naive_eval(sol, StripPoint(qj, pi)) for qj in q]
+            for pi in p]
+    for name in _JET_FIELDS:
+        fast = getattr(grid, name)
+        ref = np.array([[getattr(r, name) for r in row] for row in refs])
+        assert fast.shape == (p.size, nq)
+        err = float(np.abs(fast - ref).max() / np.abs(ref).max())
+        assert err <= 1e-13, f"{name}: relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("wave", ["sol_005", "sol_013"])
+def test_half_period_grid_slopes_vanish_exactly_on_lines(wave, request):
+    sol = request.getfixturevalue(wave)
+    q = np.linspace(0.0, math.pi * sol.c, 256)
+    p = np.linspace(-2.0 * math.pi * sol.c, 0.0, 16)
+    grid = eval_jet_grid(sol, q, p)
+    for name in ("h_q", "h_qp", "x_p"):
+        lines = getattr(grid, name)[:, [0, -1]]
+        assert (lines == 0.0).all(), f"{name} on the lines: {lines}"
+    assert (grid.x[:, 0] == 0.0).all()
+
+
+def test_grid_off_the_half_period_takes_the_scattered_jet(sol_005):
+    # a full period, a shifted half period and one column: none is the
+    # half-period grid, so each equals the scattered-point jet bit for bit
+    p = np.array([-1.5, -0.25, 0.0])
+    for q in (np.linspace(0.0, sol_005.period_q, 7),
+              np.linspace(0.0, math.pi * sol_005.c, 7) + 1e-3,
+              np.array([math.pi * sol_005.c])):
+        grid = eval_jet_grid(sol_005, q, p)
+        pts = eval_conformal_jet(sol_005, StripPoint(q[None, :], p[:, None]))
+        for name in _JET_FIELDS:
+            np.testing.assert_array_equal(getattr(grid, name),
+                                          getattr(pts, name))
+
 
 @given(coeffs=coeff_lists, point=strip_points,
        c=st.floats(0.8, 1.3), E=st.floats(0.3, 0.8))
