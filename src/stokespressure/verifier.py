@@ -370,7 +370,7 @@ def _fd_lift(sol, cfg, field, count, seed):
 def _series_reference_check(sol: ConformalSolution, cfg: WaveConfig) -> CheckResult:
     """Vectorized jet against the extended-precision term-by-term oracle, at
     24 points with p in [-4c, 0], 8 of them on the surface row p = 0, where
-    |z| = 1 and the rounding of the running powers z^k is largest."""
+    |z| = 1 and the rounding of the powers z^k is largest."""
     rng = np.random.default_rng(11)
     q = rng.uniform(-2.0 * np.pi * sol.c, 2.0 * np.pi * sol.c, 24)
     p = rng.uniform(-4.0 * sol.c, 0.0, 24)

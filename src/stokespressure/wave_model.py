@@ -198,19 +198,22 @@ def _jet(c: float, q, p, re, im) -> ConformalJet:
     )
 
 
-# Points per block of `_jet_points`: its temporaries are (block, N).
-_JET_BLOCK = 256
-
-
 def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
     """Jet of the solution at scattered points (q, p), floats or arrays of
     shapes that broadcast together.
 
     Writes h + i x = F(w) with F(w) = w/c + sum_k a_k z^k, w = p + i q and
-    z = exp(w/c): one complex exponential per point, the powers z^k by
-    running product, then h, x and their partials from the real and
-    imaginary parts of three sums with a_k, k a_k and k^2 a_k. Points are
-    taken a block at a time, so temporaries stay O(block * N).
+    z = exp(w/c), and takes h, x and their partials from the real and
+    imaginary parts of three sums with a_k, k a_k and k^2 a_k. The sums are
+    split in two levels (baby and giant steps): with b the smallest power
+    of two >= sqrt(N) and G = ceil(N/b), z^(jb+r) = (z^b)^j z^r. The baby
+    powers z^1..z^b and the giant powers (z^b)^0..(z^b)^(G-1) come from two
+    running products, z^b from its own exponential. One real product of
+    the baby powers' real parts, and one of their imaginary parts, with the
+    zero-padded weights laid out as a (b, 3G) matrix gives each point's
+    inner sums over r; a (3, G) by G product per point with its giant powers
+    finishes them. Each power so takes at most b + G products instead of k,
+    and the temporaries are O(points * sqrt(N)).
 
     Returns a `ConformalJet` of arrays of the broadcast shape (floats for
     scalar q and p). The series is entire in (q, p), so points above the
@@ -219,28 +222,31 @@ def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
     """
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float),
                                np.asarray(p, dtype=float))
-    qf, pf = q.ravel(), p.ravel()
     c = sol.c
     a = sol.coeffs
-    k = np.arange(1.0, a.size + 1.0)
-    weights = (a, k * a, k * k * a)
-    re = np.empty((3, qf.size))
-    im = np.empty((3, qf.size))
-    for lo in range(0, qf.size, _JET_BLOCK):
-        blk = slice(lo, lo + _JET_BLOCK)
-        z = np.exp((pf[blk] + 1j * qf[blk]) / c)
-        powers = np.empty((z.size, a.size), dtype=complex)
-        powers[:] = z[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        # Real and imaginary parts as contiguous real arrays, each summed
-        # against a weight vector: at one point that is a plain dot product,
-        # so `crest_indicator` keeps the rounding of a scalar sum.
-        zr, zi = powers.real.copy(), powers.imag.copy()
-        for i, w in enumerate(weights):
-            re[i, blk] = zr @ w
-            im[i, blk] = zi @ w
+    n = a.size
+    b = 1 << ((n - 1).bit_length() + 1) // 2
+    g = -(-n // b)
+    k = np.arange(1.0, n + 1.0)
+    # Row r - 1, column i G + j: k^i a_k at k = j b + r, zero past N.
+    w = np.zeros((3, g * b))
+    w[0, :n] = a
+    w[1, :n] = k * a
+    w[2, :n] = k * k * a
+    w = w.reshape(3 * g, b).T
+    u = (p.ravel() + 1j * q.ravel()) / c
+    baby = np.empty((u.size, b), dtype=complex)
+    baby[:] = np.exp(u)[:, None]
+    np.cumprod(baby, axis=1, out=baby)
+    giant = np.empty((u.size, g, 1), dtype=complex)
+    giant[:, 0] = 1.0
+    giant[:, 1:] = np.exp(b * u)[:, None, None]
+    np.cumprod(giant, axis=1, out=giant)
+    inner = np.ascontiguousarray(baby.real) @ w \
+        + 1j * (np.ascontiguousarray(baby.imag) @ w)
+    sums = (inner.reshape(-1, 3, g) @ giant)[..., 0].T
     shape = (3,) + q.shape
-    return _jet(c, q, p, re.reshape(shape), im.reshape(shape))
+    return _jet(c, q, p, sums.real.reshape(shape), sums.imag.reshape(shape))
 
 
 def eval_conformal_jet(sol: ConformalSolution, pt: StripPoint) -> ConformalJet:
@@ -311,11 +317,16 @@ def crest_indicator(sol: ConformalSolution) -> float:
     near-extreme regime in which pointwise evaluation adjacent to the crest
     stops being trustworthy.
     """
-    jet = eval_conformal_jet(sol, StripPoint(0.0, 0.0))
-    d = jet.h_q**2 + jet.h_p**2
+    # At the crest z = 1, so h_q = 0 and h_p = 1/c + (sum_k k a_k)/c. The
+    # sum is a dot product with ones, not the jet's two-level sum, so K keeps
+    # the bits that summary.csv and report.json have carried.
+    a = sol.coeffs
+    k = np.arange(1.0, a.size + 1.0)
+    h_p = 1.0 / sol.c + (np.ones(a.size) @ (k * a)) / sol.c
+    d = h_p**2
     if d == 0.0 or not np.isfinite(d):
         return 0.0
-    return float(jet.h_p / (d * sol.c))
+    return float(h_p / (d * sol.c))
 
 
 def tail_ratio(sol: ConformalSolution) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stokespressure.wave_model import (
     InvalidConfig,
     StripPoint,
     WaveConfig,
+    _jet_points,
     crest_indicator,
     eval_conformal_jet,
     eval_jet_grid,
@@ -209,18 +211,101 @@ def test_point_jet_matches_extended_precision_sums(wave, request):
     p = rng.uniform(-4.0 * sol.c, 0.0, 240)
     p[:40] = 0.0
     jet = eval_conformal_jet(sol, StripPoint(q, p))
-    refs = [oracles.naive_eval(sol, StripPoint(qi, pi)) for qi, pi in zip(q, p)]
+    _assert_matches_naive_sums(jet, sol, q, p)
+
+
+def _series(n):
+    """A synthetic n-mode solution whose coefficients decay like k^-3."""
+    k = np.arange(1.0, n + 1.0)
+    rng = np.random.default_rng(n)
+    return ConformalSolution(c=1.07, E=0.5, gravity=1.0,
+                             coeffs=0.05 * rng.uniform(-1.0, 1.0, n) * k**-3.0)
+
+
+def _assert_matches_naive_sums(jet, sol, q, p, refs=None):
+    if refs is None:
+        refs = [oracles.naive_eval(sol, StripPoint(qi, pi))
+                for qi, pi in zip(q, p)]
     for name in _JET_FIELDS:
         fast = getattr(jet, name)
         ref = np.array([getattr(r, name) for r in refs])
         assert fast.shape == q.shape
+        assert np.isfinite(fast).all(), f"{name} is not finite"
         # relative to the component's largest magnitude over the points
         err = float(np.abs(fast - ref).max() / np.abs(ref).max())
         assert err <= 1e-13, f"{name}: relative error {err:.2e}"
 
 
-def test_point_jet_shapes_blocks_and_one_point_case(sol_005):
-    # 600 points span three blocks; broadcasting q against p gives the grid
+@pytest.mark.parametrize("n", [1, 3, 5, 100, 4096])
+def test_point_jet_of_any_length_matches_extended_precision_sums(n):
+    # the powers split as z^(jb + r) = (z^b)^j z^r with b = 1, 2, 4, 16, 64;
+    # at N = 3, 5 and 100, b ceil(N/b) > N and the padded weights take part
+    sol = _series(n)
+    rng = np.random.default_rng(n)
+    q = rng.uniform(-sol.period_q, sol.period_q, 120)
+    p = rng.uniform(-3.0 * sol.c, 0.0, 120)
+    p[:40] = 0.0
+    _assert_matches_naive_sums(eval_conformal_jet(sol, StripPoint(q, p)),
+                               sol, q, p)
+
+
+def test_point_jet_deep_where_giant_powers_underflow():
+    # at p = -40c, (z^b)^j = e^{-2560 j} is 0 for j >= 1 (b = 64), as are the
+    # baby powers from r = 19 on: the zeros give no NaN
+    sol = _series(4096)
+    q = np.linspace(-sol.period_q, sol.period_q, 41)
+    p = np.full(q.shape, -40.0 * sol.c)
+    _assert_matches_naive_sums(eval_conformal_jet(sol, StripPoint(q, p)),
+                               sol, q, p)
+
+
+def test_point_jet_just_above_the_surface():
+    # the position inverter's iterates may step above p = 0, where the
+    # series is the surface series of a_k e^{k p / c}, with h shifted by p/c;
+    # up to p = 1e-4 c the top mode grows by no more than e^0.4
+    sol = _series(4096)
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-sol.period_q, sol.period_q, 40)
+    p = sol.c * 10.0 ** rng.uniform(-12.0, -4.0, 40)
+    k = np.arange(1.0, sol.mode_count + 1.0)
+    refs = []
+    for qi, pi in zip(q, p):
+        lifted = dataclasses.replace(
+            sol, coeffs=sol.coeffs * np.exp(k * pi / sol.c))
+        ref = oracles.naive_eval(lifted, StripPoint(qi, 0.0))
+        refs.append(dataclasses.replace(ref, h=ref.h + pi / sol.c))
+    _assert_matches_naive_sums(_jet_points(sol, q, p), sol, q, p, refs)
+
+
+@pytest.mark.parametrize("n", [1, 5, 4096])
+def test_point_jet_of_no_points(n):
+    sol = _series(n)
+    for q, p in ((np.empty(0), np.empty(0)), (np.empty((2, 0)), 0.0)):
+        jet = eval_conformal_jet(sol, StripPoint(q, p))
+        for name in _JET_FIELDS:
+            assert getattr(jet, name).shape == q.shape
+
+
+def test_point_jet_temporaries_grow_with_sqrt_n():
+    # 1,600 points at N = 4096 peak near 13 MB: baby powers and inner sums
+    # are (points, 64) and (points, 192). Powers of all 4096 modes, even
+    # 256 points at a time, peak at 50 MB.
+    sol = _series(4096)
+    rng = np.random.default_rng(11)
+    q = rng.uniform(-6.0, 6.0, 1600)
+    p = rng.uniform(-3.0, 0.0, 1600)
+    tracemalloc.start()
+    try:
+        eval_conformal_jet(sol, StripPoint(q, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_point_jet_shapes_and_one_point_case(sol_005):
+    # 600 points in one call agree with their one-point calls; broadcasting
+    # q against p gives the grid
     rng = np.random.default_rng(3)
     q = rng.uniform(-6.0, 6.0, 600)
     p = rng.uniform(-3.0, 0.0, 600)
