@@ -188,7 +188,10 @@ class ConformalJet:
 
 def _jet(c: float, q, p, re, im) -> ConformalJet:
     """The jet at points (q, p) from the real and imaginary parts re[i],
-    im[i] of the series sums of k^i a_k e^{k (p + iq) / c}, i = 0, 1, 2."""
+    im[i] of the series sums of k^i a_k e^{k (p + iq) / c}, i = 0, 1, 2.
+
+    `crest_indicator` repeats the h_p formula at the crest; change both
+    together."""
     h_p = 1.0 / c + re[1] / c
     h_q = -im[1] / c
     h_qq = -re[2] / c**2
@@ -196,6 +199,10 @@ def _jet(c: float, q, p, re, im) -> ConformalJet:
         h=p / c + re[0], h_q=h_q, h_p=h_p, h_qq=h_qq, h_qp=-im[2] / c**2,
         h_pp=-h_qq, x=q / c + im[0], x_q=h_p, x_p=-h_q,
     )
+
+
+# Points per block of `_jet_points`: its temporaries are (block, ~3 sqrt(N)).
+_JET_BLOCK = 1024
 
 
 def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
@@ -212,8 +219,9 @@ def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
     the baby powers' real parts, and one of their imaginary parts, with the
     zero-padded weights laid out as a (b, 3G) matrix gives each point's
     inner sums over r; a (3, G) by G product per point with its giant powers
-    finishes them. Each power so takes at most b + G products instead of k,
-    and the temporaries are O(points * sqrt(N)).
+    finishes them. Each power so takes at most b + G products instead of k.
+    Points are taken `_JET_BLOCK` at a time, so the temporaries stay
+    O(block * sqrt(N)) however many points are asked for.
 
     Returns a `ConformalJet` of arrays of the broadcast shape (floats for
     scalar q and p). The series is entire in (q, p), so points above the
@@ -235,16 +243,20 @@ def _jet_points(sol: ConformalSolution, q, p) -> ConformalJet:
     w[2, :n] = k * k * a
     w = w.reshape(3 * g, b).T
     u = (p.ravel() + 1j * q.ravel()) / c
-    baby = np.empty((u.size, b), dtype=complex)
-    baby[:] = np.exp(u)[:, None]
-    np.cumprod(baby, axis=1, out=baby)
-    giant = np.empty((u.size, g, 1), dtype=complex)
-    giant[:, 0] = 1.0
-    giant[:, 1:] = np.exp(b * u)[:, None, None]
-    np.cumprod(giant, axis=1, out=giant)
-    inner = np.ascontiguousarray(baby.real) @ w \
-        + 1j * (np.ascontiguousarray(baby.imag) @ w)
-    sums = (inner.reshape(-1, 3, g) @ giant)[..., 0].T
+    sums = np.empty((3, u.size), dtype=complex)
+    for lo in range(0, u.size, _JET_BLOCK):
+        ub = u[lo:lo + _JET_BLOCK]
+        baby = np.empty((ub.size, b), dtype=complex)
+        baby[:] = np.exp(ub)[:, None]
+        np.cumprod(baby, axis=1, out=baby)
+        giant = np.empty((ub.size, g, 1), dtype=complex)
+        giant[:, 0] = 1.0
+        giant[:, 1:] = np.exp(b * ub)[:, None, None]
+        np.cumprod(giant, axis=1, out=giant)
+        inner = np.ascontiguousarray(baby.real) @ w \
+            + 1j * (np.ascontiguousarray(baby.imag) @ w)
+        outer = inner.reshape(-1, 3, g) @ giant
+        sums[:, lo:lo + _JET_BLOCK] = outer[..., 0].T
     shape = (3,) + q.shape
     return _jet(c, q, p, sums.real.reshape(shape), sums.imag.reshape(shape))
 
@@ -284,7 +296,7 @@ def eval_jet_grid(sol: ConformalSolution, q: np.ndarray, p: np.ndarray) -> Confo
     c = sol.c
     nq = q.size
     if nq < 2 or not np.array_equal(q, np.linspace(0.0, np.pi * c, nq)):
-        return _jet_points(sol, q[None, :], p[:, None])
+        return eval_conformal_jet(sol, StripPoint(q[None, :], p[:, None]))
     n = sol.coeffs.size
     m = 2 * (nq - 1)
     k = np.arange(1.0, n + 1.0)
@@ -317,9 +329,10 @@ def crest_indicator(sol: ConformalSolution) -> float:
     near-extreme regime in which pointwise evaluation adjacent to the crest
     stops being trustworthy.
     """
-    # At the crest z = 1, so h_q = 0 and h_p = 1/c + (sum_k k a_k)/c. The
-    # sum is a dot product with ones, not the jet's two-level sum, so K keeps
-    # the bits that summary.csv and report.json have carried.
+    # At the crest z = 1, so h_q = 0 and h_p = 1/c + (sum_k k a_k)/c, the
+    # h_p of `_jet`. The sum is a dot product with ones, not the jet's
+    # two-level sum, and K = h_p / (h_p**2 c) as before, so K keeps the bits
+    # that summary.csv and report.json have carried.
     a = sol.coeffs
     k = np.arange(1.0, a.size + 1.0)
     h_p = 1.0 / sol.c + (np.ones(a.size) @ (k * a)) / sol.c

@@ -14,6 +14,7 @@ from stokespressure.wave_model import (
     InvalidConfig,
     StripPoint,
     WaveConfig,
+    _JET_BLOCK,
     _jet_points,
     crest_indicator,
     eval_conformal_jet,
@@ -287,30 +288,37 @@ def test_point_jet_of_no_points(n):
 
 
 def test_point_jet_temporaries_grow_with_sqrt_n():
-    # 1,600 points at N = 4096 peak near 13 MB: baby powers and inner sums
-    # are (points, 64) and (points, 192). Powers of all 4096 modes, even
-    # 256 points at a time, peak at 50 MB.
+    # 1,600 points at N = 4096 peak near 9 MB: baby powers and inner sums
+    # are (block, 64) and (block, 192). Powers of all 4096 modes, even 256
+    # points at a time, peak at 50 MB. A shifted 256 x 128 grid is 32,768
+    # scattered points: in blocks it peaks near 14 MB, 3.5 MB of it the jet
+    # returned; in one piece its temporaries would grow with the points.
     sol = _series(4096)
     rng = np.random.default_rng(11)
     q = rng.uniform(-6.0, 6.0, 1600)
     p = rng.uniform(-3.0, 0.0, 1600)
-    tracemalloc.start()
-    try:
-        eval_conformal_jet(sol, StripPoint(q, p))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+    qg = np.linspace(0.0, math.pi * sol.c, 256) + 1e-3
+    pg = np.linspace(-3.0 * sol.c, 0.0, 128)
+    for run in (lambda: eval_conformal_jet(sol, StripPoint(q, p)),
+                lambda: eval_jet_grid(sol, qg, pg)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_point_jet_shapes_and_one_point_case(sol_005):
-    # 600 points in one call agree with their one-point calls; broadcasting
-    # q against p gives the grid
+def test_point_jet_shapes_blocks_and_one_point_case(sol_005):
+    # 2 _JET_BLOCK + 5 points span three blocks; broadcasting q against p
+    # gives the grid
+    m = 2 * _JET_BLOCK + 5
     rng = np.random.default_rng(3)
-    q = rng.uniform(-6.0, 6.0, 600)
-    p = rng.uniform(-3.0, 0.0, 600)
+    q = rng.uniform(-6.0, 6.0, m)
+    p = rng.uniform(-3.0, 0.0, m)
     jet = eval_conformal_jet(sol_005, StripPoint(q, p))
-    for i in (0, 255, 256, 599):
+    for i in (0, _JET_BLOCK - 1, _JET_BLOCK, 2 * _JET_BLOCK, m - 1):
         one = eval_conformal_jet(sol_005, StripPoint(q[i], p[i]))
         for name in _JET_FIELDS:
             assert getattr(jet, name)[i] == pytest.approx(
