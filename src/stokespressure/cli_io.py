@@ -204,10 +204,19 @@ def save_solution(sol: ConformalSolution, path: str | Path,
     return _atomic_write_text(Path(path), _dump_json(doc))
 
 
+def _number(doc: dict, key: str, path) -> float:
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise CliInputError(f"{path}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_solution(path: str | Path) -> ConformalSolution:
     """Read a solution written by `save_solution`; bit-exact round trip.
 
-    Truncated, malformed, or inconsistent files raise CliInputError.
+    Truncated, malformed, or inconsistent files raise CliInputError, and so
+    do the values `WaveConfig` refuses: a mode count that is not an integer,
+    a bool or a string where a number belongs, and a non-finite number.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -217,18 +226,27 @@ def load_solution(path: str | Path) -> ConformalSolution:
         if doc["format"] != _SOLUTION_FORMAT:
             raise CliInputError(
                 f"{path}: unrecognized format tag {doc.get('format')!r}")
-        coeffs = np.asarray(doc["coefficients"], dtype=float)
-        if coeffs.size != int(doc["mode_count"]):
+        # json.loads gives exact ints and floats; bool is a type of its own.
+        n, coeffs = doc["mode_count"], doc["coefficients"]
+        if type(n) is not int:
+            raise CliInputError(f"{path}: mode_count must be an integer, "
+                                f"got {n!r}")
+        if not (type(coeffs) is list
+                and {type(a) for a in coeffs} <= {int, float}):
+            raise CliInputError(f"{path}: coefficients must be a list of "
+                                f"numbers")
+        if len(coeffs) != n:
             raise CliInputError(
-                f"{path}: coefficient count {coeffs.size} does not match "
-                f"mode_count {doc['mode_count']}")
+                f"{path}: coefficient count {len(coeffs)} does not match "
+                f"mode_count {n}")
         return ConformalSolution(
-            c=float(doc["c"]), E=float(doc["E"]), coeffs=coeffs,
-            gravity=float(doc["gravity"]),
-            surface_pressure=float(doc["surface_pressure"]))
+            c=_number(doc, "c", path), E=_number(doc, "E", path),
+            coeffs=np.asarray(coeffs, dtype=float),
+            gravity=_number(doc, "gravity", path),
+            surface_pressure=_number(doc, "surface_pressure", path))
     except CliInputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"{path}: malformed solution file: {exc}") from exc
 
 
@@ -651,48 +669,48 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solve and certify periodic deep-water traveling waves.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # Each subcommand takes --config, --out and, of the other shared flags,
+    # only those whose values reach its result.
+    flags = {
+        "--config": {"help": "JSON file of configuration values"},
+        "--out": {"help": f"output directory (default: ${OUTPUT_DIR_ENV} "
+                          f"or the working directory)"},
+        "--solution": {"required": True,
+                       "help": "path to a stored solution JSON"},
+        "--modes": {"type": int, "help": "override mode_count"},
+        "--gravity": {"type": float, "help": "override gravity"},
+        "--tol": {"type": float, "help": "override newton_tol"},
+        "--max-modes": {"type": int, "default": 2048},
+        "--grid": {"help": "override field grid as NQxNP"},
+        "--depth": {"type": float, "help": "override grid floor p_min"},
+    }
 
-    def common(p, solution=False):
-        p.add_argument("--config", help="JSON file of configuration values")
-        p.add_argument("--out", help=f"output directory (default: "
-                                     f"${OUTPUT_DIR_ENV} or the working directory)")
-        p.add_argument("--modes", type=int, help="override mode_count")
-        p.add_argument("--gravity", type=float, help="override gravity")
-        p.add_argument("--tol", type=float, help="override newton_tol")
-        p.add_argument("--grid", help="override field grid as NQxNP")
-        p.add_argument("--depth", type=float, help="override grid floor p_min")
-        if solution:
-            p.add_argument("--solution", required=True,
-                           help="path to a stored solution JSON")
+    def command(name, func, help, *names):
+        p = sub.add_parser(name, help=help)
+        for flag in ("--config", "--out") + names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="solve one wave at a target steepness")
-    common(p)
+    solving = ("--modes", "--gravity", "--tol", "--max-modes")
+    p = command("solve", _cmd_solve, "solve one wave at a target steepness",
+                *solving)
     p.add_argument("--steepness", type=float, required=True,
                    help="target crest-to-trough height over wavelength")
-    p.add_argument("--max-modes", type=int, default=2048)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("sweep", help="walk a steepness range")
-    common(p)
+    p = command("sweep", _cmd_sweep, "walk a steepness range", *solving)
     p.add_argument("--s-start", type=float, required=True)
     p.add_argument("--s-stop", type=float, required=True)
     p.add_argument("--s-step", type=float, default=0.01)
-    p.add_argument("--max-modes", type=int, default=2048)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="certify a stored solution")
-    common(p, solution=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("fields", help="export sampled flow fields")
-    common(p, solution=True)
+    command("verify", _cmd_verify, "certify a stored solution",
+            "--solution", "--tol", "--grid", "--depth")
+    p = command("fields", _cmd_fields, "export sampled flow fields",
+                "--solution", "--grid", "--depth")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_fields)
 
-    p = sub.add_parser("limit", help="estimate the steepest resolvable wave")
-    common(p)
-    p.add_argument("--max-modes", type=int, default=2048)
-    p.set_defaults(func=_cmd_limit)
+    command("limit", _cmd_limit, "estimate the steepest resolvable wave",
+            *solving)
     return ap
 
 

@@ -89,8 +89,9 @@ def _wrap_to_crest(q: np.ndarray | float, period: float):
 
 
 def _exclusion_mask(sol, q, p, cfg):
-    # The disc test comes first: the crest indicator costs a jet evaluation
-    # and matters only for points inside the disc.
+    # The disc test comes first: the crest indicator matters only for points
+    # inside the disc, so a point set with none there never evaluates it
+    # (test_crest_indicator_only_for_points_inside_the_disc pins this).
     inside = np.hypot(_wrap_to_crest(q, sol.period_q), p) < cfg.excision_radius
     if inside.any() and crest_indicator(sol) >= cfg.crest_indicator_threshold:
         return np.zeros_like(inside)

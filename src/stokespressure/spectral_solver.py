@@ -678,9 +678,11 @@ def continue_family(
     when one is offered and from the previous member otherwise; any
     failure halves the step. All solves of the walk share one holder of LU
     factors, the GMRES preconditioner of `newton_solve`, which each
-    refreshes only when it no longer serves. Members are recorded at every
-    accepted target; the family ends at s_stop, at the step floor or at the
-    mode cap, with the stop reason recorded.
+    refreshes only when it no longer serves. The walk lands exactly on
+    s_start and then on s_stop: a step that would stop short of the one
+    ahead by less than the floor goes to it instead. Members are recorded
+    at every accepted target from s_start on; the family ends at s_stop, at
+    the step floor or at the mode cap, with the stop reason recorded.
     Solver errors propagate only if not even the first member can be
     computed. An unusable range, step or mode cap raises InvalidConfig.
     """
@@ -716,9 +718,10 @@ def continue_family(
         return _secant_guess(sol_p, s_p, sol, s, target)
 
     while s < s_stop - 1e-14:
-        target = min(s + step, s_stop)
-        if s < s_start:
-            target = min(target, s_start)  # land exactly on s_start
+        bound = s_start if s < s_start else s_stop
+        target = s + step
+        if bound - target < _MIN_STEP:
+            target = bound
         sol = member.solution
         guess = predicted(sol, s, target)
         try:

@@ -67,6 +67,8 @@ _DEFAULT = WaveConfig()
 # Fields smaller than this (relative to gravity) over the whole sampling set
 # are treated as identically zero for strict-sign purposes.
 _DEGENERATE_FLOOR = 1e-14
+# Box of the finite-difference witness points, as q / (pi c) and p / c.
+_FD_Q, _FD_P = (0.12, 0.88), (-3.0, -0.15)
 
 
 @dataclass(frozen=True)
@@ -323,20 +325,18 @@ def verify_velocity_results(sol: ConformalSolution,
     ]
 
 
-def crest_angle(sol: ConformalSolution, samples: int = 256) -> float:
+def crest_angle(sol: ConformalSolution) -> float:
     """Interior crest angle estimate in degrees.
 
     Takes the three surface samples nearest the crest at the fixed angular
-    resolution pi/samples, forms the quadratic extrapolation of their |slope|
+    resolution pi/256, forms the quadratic extrapolation of their |slope|
     to the crest, and converts the largest of extrapolation and samples to
     an interior angle. The flat stream gives 180; values fall monotonically
     with steepness toward the 120-degree corner of the limiting wave.
     Extrapolation alone would vanish for every smooth wave (the slope is odd
     in the crest distance), hence the max with the sampled slopes.
     """
-    if samples < 8:
-        raise ValueError("need at least 8 surface samples")
-    theta = np.pi / samples * np.arange(1, 4, dtype=float)
+    theta = np.pi / 256 * np.arange(1, 4, dtype=float)
     # Three angles off the half-period grid: `eval_jet_grid` sums them as
     # scattered points.
     jets = eval_jet_grid(sol, sol.c * theta, np.array([0.0]))
@@ -346,13 +346,12 @@ def crest_angle(sol: ConformalSolution, samples: int = 256) -> float:
     return 180.0 - 2.0 * math.degrees(math.atan(slope))
 
 
-def _fd_points(sol, cfg, count, seed, qlo=0.12, qhi=0.88,
-               plo=-3.0, phi=-0.15):
+def _fd_points(sol, cfg, count, seed):
     """Deterministic pseudo-random interior points clear of the boundaries:
     their q, p and the mask of those outside any active excision disc."""
     rng = np.random.default_rng(seed)
-    q = np.pi * sol.c * rng.uniform(qlo, qhi, count)
-    p = sol.c * rng.uniform(plo, phi, count)
+    q = np.pi * sol.c * rng.uniform(*_FD_Q, count)
+    p = sol.c * rng.uniform(*_FD_P, count)
     return q, p, ~_exclusion_mask(sol, q, p, cfg)
 
 

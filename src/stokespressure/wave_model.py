@@ -134,8 +134,10 @@ class ConformalSolution:
             raise ValueError("wave speed c must be positive and finite")
         if not np.isfinite(self.E):
             raise ValueError("Bernoulli constant E must be finite")
-        if not (self.gravity > 0.0):
-            raise ValueError("gravity must be positive")
+        if not (np.isfinite(self.gravity) and self.gravity > 0.0):
+            raise ValueError("gravity must be positive and finite")
+        if not np.isfinite(self.surface_pressure):
+            raise ValueError("surface_pressure must be finite")
 
     @property
     def mode_count(self) -> int:

@@ -101,14 +101,41 @@ def test_load_solution_rejects_truncation(sol_005, tmp_path):
         load_solution(path)
 
 
-def test_load_solution_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("edit", [
+    lambda doc: "{not json",
+    lambda doc: {"format": "something/else"},
+    # what WaveConfig refuses: a count that is not an integer, and a bool or
+    # a string where a number belongs
+    lambda doc: dict(doc, mode_count=doc["mode_count"] + 0.9),
+    lambda doc: dict(doc, mode_count=str(doc["mode_count"])),
+    lambda doc: dict(doc, mode_count=True),
+    lambda doc: dict(doc, c=True),
+    lambda doc: dict(doc, E=str(doc["E"])),
+    lambda doc: dict(doc, gravity="1.0"),
+    lambda doc: dict(doc, surface_pressure=False),
+    lambda doc: dict(doc, coefficients=[True] + doc["coefficients"][1:]),
+    lambda doc: dict(doc, coefficients=["0.1"] + doc["coefficients"][1:]),
+    lambda doc: dict(doc, coefficients=json.dumps(doc["coefficients"])),
+    # and, as WaveConfig does, a non-finite value; an integer beyond the
+    # float range must not escape as OverflowError
+    lambda doc: dict(doc, gravity=math.inf),
+    lambda doc: dict(doc, surface_pressure=math.inf),
+    lambda doc: dict(doc, c=10**400),
+], ids=["not-json", "format", "fractional-mode-count", "string-mode-count",
+        "bool-mode-count", "bool-c", "string-E", "string-gravity",
+        "bool-surface-pressure", "bool-coefficient", "string-coefficient",
+        "string-coefficients", "infinite-gravity", "infinite-surface-pressure",
+        "huge-integer-c"])
+def test_load_solution_rejects_garbage(edit, sol_005, tmp_path):
     path = tmp_path / "s.json"
-    path.write_text("{not json")
+    save_solution(sol_005, path)
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(CliInputError):
         load_solution(path)
-    path.write_text(json.dumps({"format": "something/else"}))
-    with pytest.raises(CliInputError):
-        load_solution(path)
+    out = tmp_path / "out"
+    assert run("verify", "--solution", path, "--out", out) == 2
+    assert not out.exists()
 
 
 def test_fields_csv_header_and_shape(sol_005, tmp_path):
@@ -461,6 +488,20 @@ def test_sweep_writes_family(tmp_path):
     assert (out / "solution_s0.040000.json").exists()
 
 
+def test_sweep_writes_one_file_per_member(tmp_path):
+    # 0.02 + 0.01 falls 4e-7 short of s_stop: a member there would share
+    # the name solution_s0.030000.json with the member at s_stop.
+    out = tmp_path / "sweep"
+    assert run("sweep", "--s-start", 0.01, "--s-stop", 0.0300004,
+               "--s-step", 0.01, "--modes", 32, "--out", out) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    names = {f"solution_s{float(row.split(',')[0]):.6f}.json" for row in rows}
+    assert len(names) == len(rows) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == names | {"summary.csv"}
+    assert all((out / name).exists() for name in names)
+
+
 def test_limit_subcommand_small(tmp_path):
     out = tmp_path / "lim"
     assert run("limit", "--modes", 32, "--max-modes", 64, "--out", out) == 0
@@ -560,9 +601,45 @@ def test_exit_2_on_negative_steepness(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_2_on_malformed_grid(tmp_path):
-    assert run("solve", "--steepness", 0.01, "--grid", "banana",
-               "--out", tmp_path) == 2
+def test_exit_2_on_malformed_grid(sol_005, tmp_path):
+    sol = tmp_path / "solution.json"
+    save_solution(sol_005, sol)
+    for command in ("verify", "fields"):
+        out = tmp_path / command
+        assert run(command, "--solution", sol, "--grid", "banana",
+                   "--out", out) == 2
+        assert not out.exists()
+
+
+# The arguments each subcommand needs; verify and fields take a stored
+# solution's path after them.
+_ARGV = {"solve": ["--steepness", 0.01, "--modes", 32],
+         "sweep": ["--s-start", 0.01, "--s-stop", 0.02, "--modes", 32],
+         "limit": ["--modes", 32, "--max-modes", 64],
+         "verify": ["--solution"], "fields": ["--solution"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(c, f) for c in ("solve", "sweep", "limit")
+      for f in ("--grid=8x4", "--depth=-1")],
+    *[(c, f) for c in ("verify", "fields")
+      for f in ("--modes=64", "--gravity=7")],
+    ("fields", "--tol=1e-3"),
+])
+def test_exit_2_on_a_flag_the_subcommand_does_not_read(command, flag, sol_005,
+                                                       tmp_path, capsys):
+    # A subcommand takes only the flags whose values reach its result, so
+    # its manifest records no setting that did not shape it.
+    argv = [command, *_ARGV[command]]
+    if argv[-1] == "--solution":
+        argv.append(tmp_path / "solution.json")
+        save_solution(sol_005, argv[-1])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, flag, "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["16x1", "1x16"])

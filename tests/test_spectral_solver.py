@@ -378,6 +378,19 @@ def test_family_without_tail_test_passes_the_mode_cap():
     assert free.last.tail_ratio > 1e-8
 
 
+@pytest.mark.parametrize("s_start, s_stop", [(0.01, 0.0300004),
+                                             (0.1, 0.12)])
+def test_family_members_lie_at_least_the_step_floor_apart(s_start, s_stop):
+    # A step that would end within the 1e-5 floor of the bound it lands on
+    # goes to the bound: 0.02 + 0.01 falls 4e-7 short of s_stop = 0.0300004,
+    # and eight steps of 0.01 from 0.02 fall 1.4e-17 short of s_start = 0.1.
+    fam = continue_family(s_start, s_stop, WaveConfig(mode_count=64))
+    s = np.array(fam.steepnesses)
+    assert s[0] == pytest.approx(s_start, abs=1e-12)
+    assert s[-1] == pytest.approx(s_stop, abs=1e-12)
+    assert np.diff(s).min() >= 1e-5
+
+
 def test_family_rejects_bad_range(cfg64, monkeypatch):
     # a zero step would append members at one steepness without end; the
     # solve count guard turns such a regression into a failure instead of a

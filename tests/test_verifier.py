@@ -237,8 +237,3 @@ def test_crest_angle_frozen_values(sol_005, sol_010):
 def test_crest_angle_monotone_in_steepness(family_n256):
     angles = [crest_angle(m.solution) for m in family_n256.members]
     assert all(a > b for a, b in zip(angles, angles[1:])), angles
-
-
-def test_crest_angle_rejects_tiny_sampling(sol_005):
-    with pytest.raises(ValueError):
-        crest_angle(sol_005, samples=4)
