@@ -599,12 +599,20 @@ def _cmd_solve(args, cfg: WaveConfig, outdir: Path):
 def _cmd_sweep(args, cfg: WaveConfig, outdir: Path):
     fam = continue_family(args.s_start, args.s_stop, cfg,
                           initial_step=args.s_step, max_modes=args.max_modes)
+    # Members lie at least the 1e-5 step floor apart, except where the walk
+    # lands on s_stop from closer than that to s_start.
+    names = [f"solution_s{m.steepness:.6f}.json" for m in fam.members]
+    clash = sorted({name for name in names if names.count(name) > 1})
+    if clash:
+        raise CliInputError(
+            f"two members would be written to {clash[0]}: choose --s-start "
+            f"{args.s_start!r} and --s-stop {args.s_stop!r} at least 1e-5 "
+            "apart")
     outputs = {}
     rows = ["s,c,E,K,N,newton_iters,residual_norm,tail_ratio,"
             "midpoint_residual,crest_angle_deg"]
-    for m in fam.members:
-        spath = outdir / f"solution_s{m.steepness:.6f}.json"
-        outputs[spath.name] = save_solution(m.solution, spath)
+    for m, name in zip(fam.members, names):
+        outputs[name] = save_solution(m.solution, outdir / name)
         rows.append(",".join([
             _fmt(m.steepness), _fmt(m.solution.c), _fmt(m.solution.E),
             _fmt(m.crest_indicator), str(m.solution.mode_count),

@@ -17,9 +17,10 @@ chosen in this order:
 2. when no factors at all are held and N >= 256, a Fourier multiplier: the
    constant-coefficient model of J, diagonal in cosine space on the mode
    columns, applied by one real FFT without any N^2 array;
-3. neither, or GMRES misses the forcing test within 20 iterations: the
-   analytic Jacobian is built and factored at the current iterate, the step
-   is the direct LU solve in double precision, and its factors are held.
+3. neither, or GMRES misses the forcing test within 20 iterations (60 when
+   no caller keeps the factors): the analytic Jacobian is built and
+   factored at the current iterate, the step is the direct LU solve in
+   double precision, and its factors are held.
 
 All three linearize through one function, `_weights`: J.v weights the
 surface sums of v, the Fourier model averages the weights, and the dense
@@ -88,6 +89,7 @@ _RCOND_FLOOR = 1e-14
 _MAX_DAMPINGS = 8
 _FORCING = 1e-3  # a Krylov step must cut ||J delta + r||_2 by this factor
 _KRYLOV_MAX = 20  # GMRES iterations before the preconditioner is refreshed
+_KRYLOV_MAX_UNHELD = 60  # GMRES iterations when no caller keeps the factors
 _FOURIER_MIN_MODES = 256  # N from which a solve without factors tries Fourier
 _JAC_BLOCK_COLS = 16  # unit vectors per FFT batch of `jacobian`
 _MIN_STEP = 1e-5  # continuation step floor
@@ -334,20 +336,21 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, precond, bases,
     Flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993) from delta = 0,
     right-preconditioned by the callable ``precond`` (`_lu_preconditioner`
     or `_fourier_preconditioner`), with J.v from `_jvp_operator` at sol
-    and ``weights``: at most _KRYLOV_MAX iterations, no restart. The
-    preconditioned directions z_j = M^-1 v_j are kept and delta = Z y, so
-    the forcing test holds for the returned step although a single-precision
-    M is not exactly linear, and no final solve with M is needed. The
-    Arnoldi basis is orthogonalized by classical Gram-Schmidt, twice, and
-    the least-squares residual is tracked by Givens rotations. ``bases`` is
-    the pair (V, Z) of arrays of shape (_KRYLOV_MAX + 1, r.size) and
-    (_KRYLOV_MAX, r.size) that receive the two bases; their prior contents
-    are never read.
+    and ``weights``: at most m iterations, no restart. The preconditioned
+    directions z_j = M^-1 v_j are kept and delta = Z y, so the forcing test
+    holds for the returned step although a single-precision M is not
+    exactly linear, and no final solve with M is needed. The Arnoldi basis
+    is orthogonalized by classical Gram-Schmidt, twice, and the
+    least-squares residual is tracked by Givens rotations. ``bases`` is the
+    pair (V, Z) of arrays of shape (m + 1, r.size) and (m, r.size) that
+    receive the two bases; their prior contents are never read. So m is
+    read from Z: `newton_solve` makes it _KRYLOV_MAX when its caller keeps
+    the factors and _KRYLOV_MAX_UNHELD when they die with the solve.
     """
     jv = _jvp_operator(sol, weights)
     beta = float(np.linalg.norm(r))
-    m = _KRYLOV_MAX
     V, Z = bases
+    m = Z.shape[0]
     R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
     rot = np.zeros((m, 2))  # (cos, sin) of each Givens rotation
     g = np.zeros(m + 1)
@@ -505,7 +508,11 @@ def newton_solve(
     holds no factors takes the dense step.
     ``factors`` is a `_Factors` holder that a caller such as
     `continue_family` passes to consecutive solves so that they share one
-    factorization; None gives a holder local to this call.
+    factorization; None gives a holder local to this call. Factors in such
+    a holder die with the call, so GMRES may then run to 60 iterations
+    before a dense step, whatever its preconditioner: the probes of
+    `oracles.limit_bracket`, one-off solves near the limiting wave, then
+    build no N^2 Jacobian at the 512 or the default mode cap.
     Convergence is checked before the first step, so an exact guess (e.g.
     the flat stream at s_target = 0, where the Jacobian is singular) returns
     immediately.
@@ -538,9 +545,11 @@ def newton_solve(
     iters = 0
     # GMRES's Krylov bases, shared by every step of this solve: at large N
     # each lies above malloc's mmap threshold, so a pair per step would be
-    # mapped afresh and page-fault on every first touch.
-    bases = (np.empty((_KRYLOV_MAX + 1, n + 2)),
-             np.empty((_KRYLOV_MAX, n + 2)))
+    # mapped afresh and page-fault on every first touch. Their length is
+    # GMRES's iteration limit: factors that no caller keeps would be built
+    # for this solve alone, so GMRES may run longer before it pays for them.
+    m = _KRYLOV_MAX if factors is not None else _KRYLOV_MAX_UNHELD
+    bases = np.empty((m + 1, n + 2)), np.empty((m, n + 2))
     while rmax > cfg.newton_tol:
         if not np.isfinite(rmax):
             raise NonConvergence("residual became non-finite", iters, rmax)

@@ -502,6 +502,16 @@ def test_sweep_writes_one_file_per_member(tmp_path):
     assert all((out / name).exists() for name in names)
 
 
+def test_exit_2_when_two_sweep_members_share_a_file_name(tmp_path, capsys):
+    # The walk lands on both bounds, 1e-7 apart here: both members would be
+    # named solution_s0.030000.json, so the sweep writes nothing.
+    out = tmp_path / "sweep"
+    assert run("sweep", "--s-start", 0.03, "--s-stop", 0.0300001,
+               "--modes", 32, "--out", out) == 2
+    assert "solution_s0.030000.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limit_subcommand_small(tmp_path):
     out = tmp_path / "lim"
     assert run("limit", "--modes", 32, "--max-modes", 64, "--out", out) == 0

@@ -187,11 +187,7 @@ def test_limit_bracket_small_budget():
         f"continuation limit {est.s_max} outside bracket [{lo}, {hi}]"
 
 
-def test_limit_bracket_jacobian_budget(monkeypatch):
-    # Counts, not timings: the walk is one continuation at 256 modes, whose
-    # solves share one holder of factors; it starts on the Fourier path and
-    # builds a Jacobian only after a GMRES miss (3 in all; a fresh holder
-    # per walk solve built 20).
+def _count_jacobians(monkeypatch):
     jacs = []
     real = spectral_solver.jacobian
 
@@ -200,9 +196,32 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
         return real(sol, s_target)
 
     monkeypatch.setattr(spectral_solver, "jacobian", counted)
+    return jacs
+
+
+def test_limit_bracket_jacobian_budget(monkeypatch):
+    # Counts, not timings: the walk is one continuation at 256 modes, whose
+    # solves share one holder of factors; it starts on the Fourier path and
+    # builds a Jacobian only after a GMRES miss (a fresh holder per walk
+    # solve built 20). The probes keep no factors, so their GMRES runs to
+    # 60 iterations instead of 20 before a dense step: the 1024-mode fine
+    # solves build none (with 20 iterations the bracket built 3, one of
+    # them at 1024 modes).
+    jacs = _count_jacobians(monkeypatch)
     assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
         0.135, 0.13687500000000002)
-    assert len(jacs) <= 4
+    assert len(jacs) <= 1
+    assert 1024 not in jacs
+
+
+def test_limit_bracket_builds_one_jacobian_at_the_default_cap(monkeypatch):
+    # The bracket of acceptance criterion 8: its 1024-mode walk builds one
+    # Jacobian and its 4096-mode fine solves none (3 with 20 iterations for
+    # the probes, one of them at 4096 modes).
+    jacs = _count_jacobians(monkeypatch)
+    assert oracles.limit_bracket(WaveConfig()) == (0.13875, 0.140625)
+    assert len(jacs) <= 1
+    assert 4096 not in jacs
 
 
 def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):

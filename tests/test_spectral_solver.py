@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -645,11 +647,12 @@ def test_back_substitution_matches_lapack_bit_for_bit():
     # GMRES's triangular solve must keep the bits of LAPACK's trtrs, which
     # it replaced: np.linalg.solve agreed on few such systems and moved
     # s_max. The systems are laid out as GMRES holds them, the leading
-    # block of a 20x20 array with a positive diagonal.
+    # block of an m x m array with a positive diagonal, m up to the longest
+    # GMRES run (60 iterations, in a solve that keeps no factors).
     from scipy.linalg import solve_triangular
 
     rng = np.random.default_rng(13)
-    m = spectral_solver._KRYLOV_MAX
+    m = spectral_solver._KRYLOV_MAX_UNHELD
     for _ in range(2000):
         n = int(rng.integers(1, m + 1))
         R = np.triu(rng.standard_normal((m, m)))
@@ -772,6 +775,65 @@ def test_fourier_path_builds_no_jacobian(monkeypatch, n):
     assert fam.last.solution.mode_count == n
     assert all(m.residual_norm <= 1e-12 for m in fam.members)
     assert peak < (n + 2)**2 * 4
+
+
+_UNHELD_SOLVE = """
+import json, sys, tracemalloc
+import numpy as np
+from stokespressure import spectral_solver
+from stokespressure.wave_model import ConformalSolution, WaveConfig, steepness
+
+doc = json.load(sys.stdin)
+guess = ConformalSolution(c=doc["c"], E=doc["E"], coeffs=np.array(doc["a"]))
+cfg = WaveConfig(mode_count=guess.mode_count, newton_tol=doc["tol"])
+jacs = []
+real = spectral_solver.jacobian
+spectral_solver.jacobian = lambda sol, s: jacs.append(sol) or real(sol, s)
+tracemalloc.start()
+sol = spectral_solver.newton_solve(guess, doc["s"], cfg, tail_limit=np.inf)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"jacobians": len(jacs), "peak": peak,
+                  "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+                  "steepness": steepness(sol)}))
+"""
+
+
+def test_a_solve_that_keeps_no_factors_runs_gmres_longer(monkeypatch):
+    # Counts and bytes, not timings. Factors that no caller keeps die with
+    # the solve, so its GMRES runs to 60 iterations, not 20, before it pays
+    # for a dense step. The case is the fine solve of the 512-cap bracket's
+    # probe at s = 0.136875: the secant guess through the 256-mode walk's
+    # members around it, padded to 1024 modes. With no holder it builds no
+    # Jacobian, loads no SciPy (a fresh interpreter) and peaks below one
+    # float64 Jacobian of order 1026; with a holder its GMRES stops at 20
+    # iterations and the dense step is paid.
+    s = 0.136875
+    cfg = WaveConfig(mode_count=256, newton_tol=WaveConfig().newton_tol / 2)
+    walk = continue_family(0.01, spectral_solver._S_CEILING, cfg,
+                           max_modes=256, tail_limit=np.inf).members
+    i = next(i for i, m in enumerate(walk) if m.steepness > s)
+    guess = _pad_modes(spectral_solver._secant_guess(
+        walk[i - 1].solution, walk[i - 1].steepness, walk[i].solution,
+        walk[i].steepness, s), 1024)
+    doc = {"c": guess.c, "E": guess.E, "a": guess.coeffs.tolist(), "s": s,
+           "tol": cfg.newton_tol}
+    src = str(os.path.dirname(os.path.dirname(stokespressure.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _UNHELD_SOLVE], env=env,
+                          input=json.dumps(doc), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["jacobians"] == 0
+    assert seen["scipy"] is False
+    assert seen["peak"] < 1026**2 * 8
+    assert seen["steepness"] == pytest.approx(s, abs=1e-12)
+
+    jacs = _count_jacobians(monkeypatch)
+    newton_solve(guess, s, replace(cfg, mode_count=1024), tail_limit=np.inf,
+                 factors=spectral_solver._Factors())
+    assert jacs == [1024]
 
 
 @pytest.mark.parametrize("poison", [
