@@ -5,10 +5,10 @@ Bernoulli surface defect is summed densely at arbitrary angles, derivatives
 are obtained by finite differences instead of term-wise differentiation, and
 the small-amplitude wave is written down in closed form; none of these
 shares numerical code with the paths it checks. The limiting steepness is
-re-bracketed on the solver's own Newton solves and continuation, walked at
-the continuation's own steps: there the independence is twice the
-continuation's mode budget, halved Newton tolerance and tail bound, and
-plain bisection.
+re-bracketed by plain bisection inside one continuation walk, each probe
+one Newton solve at twice the continuation's mode budget from its member or
+the secant through its neighbours: there the independence is that budget,
+halved Newton tolerance and tail bound, and the bisection.
 """
 
 from __future__ import annotations
@@ -190,7 +190,6 @@ def limit_bracket(
     est_mode_cap: int = 2048,
     target_width: float = 0.003,
     lo: float = 0.12,
-    hi: float = 0.15,
     max_probes: int = 14,
 ) -> tuple[float, float]:
     """Bracket the largest resolvable steepness by plain bisection.
@@ -199,23 +198,24 @@ def limit_bracket(
     `continue_family` run, with halved Newton tolerance and no tail test at
     half ``est_mode_cap`` modes (256 to twice the cap), walks from s = 0.01
     toward 0.2 at the continuation's own steps: 0.01 at first, halved on
-    each failed solve down to the 1e-5 floor, where the walk ends. Near its
-    reach the halvings pack members densely, so a probe there finds close
-    neighbours. A probe takes its member at s, or solves at s from the
-    secant through the members around it, then solves again at twice
-    ``est_mode_cap`` modes. It is reached if the coefficient at index
-    ``est_mode_cap`` still meets the halved tail-decay bound, and refuted
-    otherwise, also past the walk's reach or when a solve fails (ROADMAP
-    item 1). Bisection stops at hi - lo <= target_width or when the probes
-    run out; lo was probed and reached, hi probed and refuted. Raises
-    RuntimeError, naming the probes made, if there is no such pair, and
-    ValueError, before the walk, unless 0 < lo < hi and max_probes >= 1.
+    each failed solve down to the 1e-5 floor, where the walk ends. Every
+    probe lies inside the walk: it pads the member at s (the first member
+    below the walk), or else the secant through the members around s, to
+    twice ``est_mode_cap`` modes and solves once. It is reached if the
+    coefficient at index ``est_mode_cap`` still meets the halved tail-decay
+    bound, and refuted otherwise. Bisection runs from lo up to the walk's
+    last member, probed last and only if no probe below it was refuted, and
+    stops at hi - lo <= target_width or when the probes run out; lo was
+    probed and reached, hi probed and refuted. Raises RuntimeError, naming
+    the probes made, if there is no such pair, if lo is not below the
+    walk's last member, or if a guess or fine solve fails; ValueError,
+    before the walk, unless lo > 0 and max_probes >= 1.
     """
     from . import spectral_solver as ss
 
     cfg = cfg or WaveConfig()
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not lo > 0.0:
+        raise ValueError("need lo > 0")
     if max_probes < 1:
         raise ValueError("need max_probes >= 1")
     modes = 2 * int(est_mode_cap)
@@ -226,34 +226,27 @@ def limit_bracket(
     walk = ss.continue_family(_WALK_START, ss._S_CEILING, walk_cfg,
                               max_modes=walk_modes, tail_limit=np.inf).members
     reach = [m.steepness for m in walk]
-
-    def reached(s: float) -> bool:
-        i = bisect.bisect_left(reach, s - tol)
-        if i == len(reach):
-            return False  # beyond the walk's reach
-        try:
-            if reach[i] <= s + tol:
-                sol = walk[i].solution
-            else:
-                sol = (walk[0].solution if i == 0 else ss._secant_guess(
-                    walk[i - 1].solution, reach[i - 1], walk[i].solution,
-                    reach[i], s))
-                if sol is None:
-                    return False
-                sol = ss.newton_solve(sol, s, walk_cfg, tail_limit=np.inf)
-            fine = ss.newton_solve(ss._pad_modes(sol, modes), s, walk_cfg,
-                                   tail_limit=np.inf)
-        except ss.SolverError:
-            return False
-        a = np.abs(fine.coeffs)
-        return float(a[int(est_mode_cap) - 1]) <= tail_limit * float(a.max())
-
     log: dict[float, bool] = {}  # probed steepness -> reached
 
     def no_window(why: str) -> RuntimeError:
         made = ", ".join(f"{p!r} {'reached' if ok else 'refuted'}"
-                         for p, ok in log.items())
+                         for p, ok in log.items()) or "none"
         return RuntimeError(f"no bracket: {why}; probes made: {made}")
+
+    def reached(s: float) -> bool:
+        i = bisect.bisect_left(reach, s - tol)
+        guess = (walk[i].solution if i == 0 or reach[i] <= s + tol else
+                 ss._secant_guess(walk[i - 1].solution, reach[i - 1],
+                                  walk[i].solution, reach[i], s))
+        try:
+            if guess is None:
+                raise ss.SolverError("the secant guess is not evaluable")
+            fine = ss.newton_solve(ss._pad_modes(guess, modes), s, walk_cfg,
+                                   tail_limit=np.inf)
+        except ss.SolverError as exc:
+            raise no_window(f"the probe at s = {s!r} failed: {exc}") from exc
+        a = np.abs(fine.coeffs)
+        return float(a[int(est_mode_cap) - 1]) <= tail_limit * float(a.max())
 
     def probe(s: float) -> bool:
         if s not in log:
@@ -263,19 +256,21 @@ def limit_bracket(
             log[s] = reached(s)
         return log[s]
 
-    # Establish the window: lo must be reached, hi refuted.
+    hi = reach[-1]
+    if lo >= hi:
+        raise no_window(f"lo = {lo!r} is not below the walk's reach {hi!r}")
+    # Establish a reached lo; a refuted lo becomes hi.
     while not probe(lo):
         if lo <= _WALK_START:
             raise no_window(f"not even s = {lo!r} was reached")
         lo, hi = max(lo - 0.015, _WALK_START), lo
-    while probe(hi):
-        if hi >= ss._S_CEILING:
-            raise no_window(f"s = {hi!r} was reached")
-        lo, hi = hi, min(hi + 0.015, ss._S_CEILING)
-    while hi - lo > target_width and len(log) < max_probes:
+    # Bisect, keeping a probe for the walk's last member while it is hi.
+    while hi - lo > target_width and len(log) < max_probes - (hi not in log):
         mid = 0.5 * (lo + hi)
         if probe(mid):
             lo = mid
         else:
             hi = mid
+    if probe(hi):
+        raise no_window(f"the walk's last member s = {hi!r} was reached")
     return (float(lo), float(hi))

@@ -178,7 +178,7 @@ def test_limit_bracket_small_budget():
     # mode-capped continuation limit for the same budget
     cfg = WaveConfig(mode_count=64)
     lo, hi = oracles.limit_bracket(cfg, est_mode_cap=256, target_width=0.01,
-                                   lo=0.10, hi=0.15, max_probes=12)
+                                   lo=0.10, max_probes=12)
     assert 0.10 <= lo < hi <= 0.15
     assert hi - lo <= 0.01 + 1e-12, f"bracket [{lo}, {hi}] too wide"
     from stokespressure.spectral_solver import estimate_limit
@@ -199,6 +199,18 @@ def _count_jacobians(monkeypatch):
     return jacs
 
 
+def _count_solves(monkeypatch):
+    solves = []
+    real = spectral_solver.newton_solve
+
+    def counted(guess, s_target, cfg, *args, **kwargs):
+        solves.append(guess.mode_count)
+        return real(guess, s_target, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_solver, "newton_solve", counted)
+    return solves
+
+
 def test_limit_bracket_jacobian_budget(monkeypatch):
     # Counts, not timings: the walk is one continuation at 256 modes, whose
     # solves share one holder of factors; it starts on the Fourier path and
@@ -209,7 +221,7 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
     # them at 1024 modes).
     jacs = _count_jacobians(monkeypatch)
     assert oracles.limit_bracket(WaveConfig(), est_mode_cap=512) == (
-        0.135, 0.13687500000000002)
+        0.1338427734375, 0.13614990234375002)
     assert len(jacs) <= 1
     assert 1024 not in jacs
 
@@ -217,20 +229,28 @@ def test_limit_bracket_jacobian_budget(monkeypatch):
 def test_limit_bracket_builds_one_jacobian_at_the_default_cap(monkeypatch):
     # The bracket of acceptance criterion 8: its 1024-mode walk builds one
     # Jacobian and its 4096-mode fine solves none (3 with 20 iterations for
-    # the probes, one of them at 4096 modes).
+    # the probes, one of them at 4096 modes). Its five probes, the walk's
+    # last member among them, are one 4096-mode solve each.
     jacs = _count_jacobians(monkeypatch)
-    assert oracles.limit_bracket(WaveConfig()) == (0.13875, 0.140625)
+    solves = _count_solves(monkeypatch)
+    assert oracles.limit_bracket(WaveConfig()) == (
+        0.13751708984375, 0.14001953124999997)
     assert len(jacs) <= 1
     assert 4096 not in jacs
+    assert solves.count(4096) == 5
+    assert len(solves) <= 30
 
 
 def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
     # The bracket walks with a single continuation at the continuation's own
-    # steps; a probe reuses its members and never repeats a solve. Both
-    # returned ends were probed: each had its fine solve at twice the mode
-    # cap. The walk solves each target once and a failed solve halves the
-    # step, so the only failures are the walk's halvings from its first step
-    # to the step floor, 10 from 0.01 to 1e-5, of 32 solves in all.
+    # steps; a probe reuses its members and never repeats a solve. Each
+    # probe lies inside the walk and is one solve at twice the mode cap,
+    # padded from its member or the secant through the members around it;
+    # no solve at the walk's 256 modes runs outside the walk. Both returned
+    # ends were probed. The walk solves each target once and a failed solve
+    # halves the step, so the only failures are the walk's halvings from its
+    # first step to the step floor, 10 from 0.01 to 1e-5, of 32 solves in
+    # all.
     seen, families, outcomes = [], [], []
     walking = [False]
     real_solve = spectral_solver.newton_solve
@@ -257,11 +277,16 @@ def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
     monkeypatch.setattr(spectral_solver, "newton_solve", logged)
     monkeypatch.setattr(spectral_solver, "continue_family", walk)
     lo, hi = oracles.limit_bracket(WaveConfig(), est_mode_cap=512)
-    assert (lo, hi) == (0.135, 0.13687500000000002)
+    assert (lo, hi) == (0.1338427734375, 0.13614990234375002)
     assert len(families) == 1
     assert len(seen) == len(set(seen))
-    fine = {s for coeffs, _, _, s in seen if len(coeffs) == 1024 * 8}
-    assert {lo, hi} <= fine
+    probes = [(n, s) for n, s, _, in_walk in outcomes if not in_walk]
+    assert [n for n, _ in probes] == [1024] * len(probes)
+    probed = [s for _, s in probes]
+    assert len(probed) == len(set(probed))
+    assert {lo, hi} <= set(probed)
+    assert max(probed) <= families[0].members[-1].steepness
+    assert [o for o in outcomes if o[0] == 256 and not o[3]] == []
     resolves = [a for a, b in zip(outcomes, outcomes[1:])
                 if a[2] and b[:2] == a[:2]]
     assert resolves == []
@@ -271,40 +296,63 @@ def test_limit_bracket_solves_no_walk_step_twice(monkeypatch):
                                    / spectral_solver._MIN_STEP))
     assert [in_walk for *_, failed, in_walk in outcomes if failed] == (
         [True] * halvings)
-    assert len(outcomes) <= 34
+    assert len(outcomes) <= 32
 
 
-@pytest.mark.parametrize("lo, hi, max_probes, why", [
-    (0.15, 0.12, 14, "lo < hi"),
-    (0.0, 0.12, 14, "lo < hi"),
-    (0.12, 0.15, 0, "max_probes >= 1"),
+def test_limit_bracket_raises_when_a_probe_fails(monkeypatch):
+    # A failed fine solve refutes nothing: the oracle names that steepness
+    # and the probes made, and returns no bracket.
+    real = spectral_solver.newton_solve
+    fine = []
+
+    def failing(guess, s_target, cfg, *args, **kwargs):
+        if guess.mode_count == 1024:
+            fine.append(s_target)
+            if len(fine) == 2:
+                raise spectral_solver.NonConvergence("injected")
+        return real(guess, s_target, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_solver, "newton_solve", failing)
+    with pytest.raises(RuntimeError) as info:
+        oracles.limit_bracket(WaveConfig(), est_mode_cap=512)
+    assert len(fine) == 2
+    assert str(info.value) == (
+        f"no bracket: the probe at s = {fine[1]!r} failed: injected; "
+        "probes made: 0.12 reached")
+
+
+@pytest.mark.parametrize("lo, max_probes, why", [
+    (0.0, 14, "lo > 0"),
+    (0.12, 0, "max_probes >= 1"),
 ])
 def test_limit_bracket_refuses_bad_arguments_before_the_walk(
-        monkeypatch, lo, hi, max_probes, why):
+        monkeypatch, lo, max_probes, why):
     def walk(*args, **kwargs):
         raise AssertionError("continue_family called")
 
     monkeypatch.setattr(spectral_solver, "continue_family", walk)
     with pytest.raises(ValueError, match=why):
         oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
-                              lo=lo, hi=hi, max_probes=max_probes)
+                              lo=lo, max_probes=max_probes)
 
 
-@pytest.mark.parametrize("lo, hi, max_probes, made", [
-    (0.145, 0.15, 1, "0.145 refuted"),
-    (0.10, 0.105, 2, "0.1 reached, 0.105 reached"),
+@pytest.mark.parametrize("lo, max_probes, made", [
+    (0.145, 1, "none"),
+    (0.10, 1, "0.1 reached"),
 ])
-def test_limit_bracket_returns_no_unprobed_end(lo, hi, max_probes, made):
-    # The budget runs out while the window is set up: the next end (0.13 or
-    # 0.12) was never probed, so there is no bracket to return.
+def test_limit_bracket_returns_no_unprobed_end(lo, max_probes, made):
+    # lo = 0.145 lies past the walk's last member (0.138457), so nothing is
+    # probed; with one probe for lo = 0.1, that member is never probed.
+    # Either way there is no bracket to return.
     with pytest.raises(RuntimeError, match=f"probes made: {made}$"):
         oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
-                              lo=lo, hi=hi, max_probes=max_probes)
+                              lo=lo, max_probes=max_probes)
 
 
 def test_limit_bracket_probes_below_the_walk():
     # The walk's first member is at s = 0.01; a probe below it solves from
-    # that member. With two probes the window is the bracket.
+    # that member. With two probes the window is the bracket: lo, then the
+    # walk's last member.
     assert oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
-                                 lo=0.005, hi=0.15, max_probes=2) == (
-        0.005, 0.15)
+                                 lo=0.005, max_probes=2) == (
+        0.005, 0.13845703125)

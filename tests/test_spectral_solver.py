@@ -801,9 +801,11 @@ print(json.dumps({"jacobians": len(jacs), "peak": peak,
 def test_a_solve_that_keeps_no_factors_runs_gmres_longer(monkeypatch):
     # Counts and bytes, not timings. Factors that no caller keeps die with
     # the solve, so its GMRES runs to 60 iterations, not 20, before it pays
-    # for a dense step. The case is the fine solve of the 512-cap bracket's
-    # probe at s = 0.136875: the secant guess through the 256-mode walk's
-    # members around it, padded to 1024 modes. With no holder it builds no
+    # for a dense step. The case is a fine solve as the 512-cap bracket
+    # makes one, at s = 0.136875 inside its walk (its own probes at 0.13384
+    # and 0.13615 build no Jacobian even at 20 iterations, so they cannot
+    # show the rule): the secant guess through the 256-mode walk's members
+    # around s, padded to 1024 modes. With no holder it builds no
     # Jacobian, loads no SciPy (a fresh interpreter) and peaks below one
     # float64 Jacobian of order 1026; with a holder its GMRES stops at 20
     # iterations and the dense step is paid.
