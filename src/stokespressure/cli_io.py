@@ -189,7 +189,14 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> WaveC
 def save_solution(sol: ConformalSolution, path: str | Path,
                   diagnostics: dict | None = None) -> str:
     """Write a solution as deterministic JSON (atomic); returns the file's
-    SHA-256."""
+    SHA-256.
+
+    The bytes are `_dump_json` of the whole document. `indent` sends json
+    through its pure-Python encoder, which spent most of the time of a
+    2,048-mode file on the coefficients, so they are printed here by
+    `float.__repr__`, json's own float format (a `ConformalSolution` holds
+    at least one, all finite), and spliced into `_dump_json` of the rest.
+    """
     doc = {
         "format": _SOLUTION_FORMAT,
         "c": sol.c,
@@ -197,11 +204,16 @@ def save_solution(sol: ConformalSolution, path: str | Path,
         "gravity": sol.gravity,
         "surface_pressure": sol.surface_pressure,
         "mode_count": sol.mode_count,
-        "coefficients": [float(a) for a in sol.coeffs],
+        "coefficients": [],
     }
     if diagnostics:
         doc["diagnostics"] = diagnostics
-    return _atomic_write_text(Path(path), _dump_json(doc))
+    # Sorted keys put "coefficients" after "E" and "c" and before any
+    # nested key, so the first match is the top-level list.
+    head, key, tail = _dump_json(doc).partition('\n "coefficients": [')
+    coeffs = ",\n  ".join(map(float.__repr__, sol.coeffs.tolist()))
+    return _atomic_write_text(Path(path),
+                              f"{head}{key}\n  {coeffs}\n {tail}")
 
 
 def _number(doc: dict, key: str, path) -> float:
@@ -428,11 +440,16 @@ def _cells_17g(values: np.ndarray) -> np.ndarray:
     words = np.empty(v.shape + (4,), _LE64)
     words[..., 3] = np.where(cls == _EXPONENT, np.take(tab["suffix"], row), 0)
     del row
-    high, low = d // 10**8, d % 10**8      # intp: np.take's fast index type
+    # a - (a // m) * m is a % m for these nonnegative intp (np.take's fast
+    # index type); NumPy's int64 % costs about three times its //.
+    high = d // 10**8
+    low = d - high * 10**8
     del d
     lead = high // 10**8
-    chunks = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    del high, low
+    top = high // 10**4
+    mid = low // 10**4
+    chunks = [top - lead * 10**4, high - top * 10**4, mid, low - mid * 10**4]
+    del high, low, top
     zeros = np.take(tab["quad_zeros"], chunks[0])
     for c in chunks[1:]:
         z = np.take(tab["quad_zeros"], c)

@@ -48,10 +48,16 @@ the first dense step runs, not with this module. Importing `scipy.linalg`
 costs a fresh process about 0.3 s and 28 MB (one BLAS thread, 2-core VM),
 which `verify`, `fields` and solves that stay on held factors or on the
 Fourier path no longer pay.
+
+GMRES's scalar work, the Givens rotations and the norms sqrt(w.w), runs on
+Python floats, which round as NumPy's float64 scalars do, in the order of
+a loop on NumPy scalars with `np.linalg.norm`: its steps keep that loop's
+bits at a fraction of its interpreter cost.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -129,19 +135,24 @@ def collocation_angles(n: int) -> np.ndarray:
     return np.linspace(0.0, np.pi, n + 1)
 
 
-def _surface_sums(a: np.ndarray, m: int):
+def _surface_sums(a: np.ndarray, m: int, series=None, k=None):
     """Surface sums at theta_j = j pi / m, j = 0..m: h, A = c|h_q| factor
     and B, in terms of which S = A^2 + (1+B)^2 = c^2 (h_q^2 + h_p^2).
 
     One real FFT of length 2m: sum_k x_k e^{-ik theta_j} for x = a and k a,
     whose real parts are h and B and whose imaginary part is -A. The last
     axis of a holds a_1..a_N; leading axes batch coefficient vectors, and
-    each gets the bits it gets alone.
+    each gets the bits it gets alone. A caller that sums many vectors may
+    pass the series buffer, of shape (2,) + a.shape[:-1] + (N+1,) with
+    column 0 zero, and k = 1..N, to be reused: the mode columns are
+    overwritten.
     """
     n = a.shape[-1]
-    series = np.zeros((2,) + a.shape[:-1] + (n + 1,))  # k = 0 mode absent
+    if series is None:
+        series = np.zeros((2,) + a.shape[:-1] + (n + 1,))  # k = 0 mode absent
+        k = np.arange(1.0, n + 1.0)
     series[0, ..., 1:] = a
-    series[1, ..., 1:] = np.arange(1.0, n + 1.0) * a
+    np.multiply(k, a, out=series[1, ..., 1:])
     sums = np.fft.rfft(series, n=2 * m)
     return sums[0].real, -sums[1].imag, sums[1].real
 
@@ -210,12 +221,14 @@ def _weights(sol: ConformalSolution):
 
 def _jvp_operator(sol: ConformalSolution, weights=None):
     """d -> J d for the Jacobian of `residual_vector` at sol, without
-    forming J, from the `_weights` of sol (taken here if not given)."""
+    forming J, from the `_weights` of sol (taken here if not given). The
+    products of one operator share one series buffer for their FFTs."""
     n = sol.mode_count
     w_h, w_A, w_B, w_c, w_E = _weights(sol) if weights is None else weights
+    series, k = np.zeros((2, n + 1)), np.arange(1.0, n + 1.0)
 
     def jv(d: np.ndarray) -> np.ndarray:
-        dh, dA, dB = _surface_sums(d[:n], n)
+        dh, dA, dB = _surface_sums(d[:n], n, series, k)
         out = np.empty(n + 2)
         out[: n + 1] = (w_h * dh + w_A * dA + w_B * dB
                         + w_c * d[n] + w_E * d[n + 1])
@@ -348,13 +361,12 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, precond, bases,
     the factors and _KRYLOV_MAX_UNHELD when they die with the solve.
     """
     jv = _jvp_operator(sol, weights)
-    beta = float(np.linalg.norm(r))
+    beta = math.sqrt(r @ r)  # np.linalg.norm of a real vector, less its wrapper
     V, Z = bases
     m = Z.shape[0]
     R = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
-    rot = np.zeros((m, 2))  # (cos, sin) of each Givens rotation
-    g = np.zeros(m + 1)
-    g[0] = beta
+    rot = []  # (cos, sin) of each Givens rotation
+    g = [beta]  # the rotated right-hand side
     np.divide(r, -beta, out=V[0])
     for j in range(m):
         Z[j] = precond(V[j])
@@ -364,32 +376,52 @@ def _gmres(sol: ConformalSolution, r: np.ndarray, precond, bases,
             hj = V[: j + 1] @ w
             w -= hj @ V[: j + 1]
             col += hj
-        h_next = float(np.linalg.norm(w))
-        if not np.isfinite(h_next):
+        h_next = math.sqrt(w @ w)
+        if not math.isfinite(h_next):
             return None
-        for i, (ci, si) in enumerate(rot[:j]):
+        # The rotations run on Python floats, the same IEEE operations as on
+        # NumPy scalars without their overhead; R gets the column once.
+        # np.hypot stays: math.hypot rounds differently.
+        col = col.tolist()
+        for i, (ci, si) in enumerate(rot):
             col[i], col[i + 1] = (ci * col[i] + si * col[i + 1],
                                   ci * col[i + 1] - si * col[i])
         rho = float(np.hypot(col[j], h_next))
         if rho == 0.0:
             return None
-        rot[j] = col[j] / rho, h_next / rho
+        cj, sj = col[j] / rho, h_next / rho
+        rot.append((cj, sj))
         col[j] = rho
-        g[j + 1] = -rot[j, 1] * g[j]
-        g[j] *= rot[j, 0]
+        R[: j + 1, j] = col
+        g.append(-sj * g[j])
+        g[j] *= cj
         if abs(g[j + 1]) <= _FORCING * beta:
-            y = _back_substitute(R[: j + 1, : j + 1], g[: j + 1])
+            y = _back_substitute(R[: j + 1, : j + 1], np.array(g[: j + 1]))
             return y @ Z[: j + 1]
-        V[j + 1] = w / h_next
+        np.divide(w, h_next, out=V[j + 1])
     return None
 
 
-@dataclass
 class _Factors:
     """Mutable holder of the LU factors that precondition Newton's GMRES;
-    a solve reads them and refreshes them in place."""
+    a solve reads them and refreshes them in place.
 
-    lu: tuple | None = None  # (lu, piv) of an (N+2)x(N+2) Jacobian, lu float32
+    ``lu`` is (lu, piv) of an (N+2)x(N+2) Jacobian, lu float32, or None.
+    Setting it also sets ``precond``, their `_lu_preconditioner`, so the
+    LAPACK lookup is paid once per factorization, not per Newton iteration.
+    """
+
+    def __init__(self):
+        self.lu = None
+
+    @property
+    def lu(self) -> tuple | None:
+        return self._lu
+
+    @lu.setter
+    def lu(self, lu_piv: tuple | None) -> None:
+        self._lu = lu_piv
+        self.precond = None if lu_piv is None else _lu_preconditioner(lu_piv)
 
 
 def _vector(sol: ConformalSolution) -> np.ndarray:
@@ -559,7 +591,7 @@ def newton_solve(
                 f"(residual {rmax:.3e})", iters, rmax)
         delta = None
         if held.lu is not None and held.lu[0].shape[0] == n + 2:
-            delta = _gmres(sol, r, _lu_preconditioner(held.lu), bases)
+            delta = _gmres(sol, r, held.precond, bases)
         elif held.lu is None and n >= _FOURIER_MIN_MODES:
             weights = _weights(sol)
             precond = _fourier_preconditioner(weights)

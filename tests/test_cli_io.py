@@ -27,9 +27,18 @@ from stokespressure.cli_io import (
     write_fields_csv,
 )
 from stokespressure.hodograph_fields import grid_fields, physical_grid
-from stokespressure.spectral_solver import initial_guess, newton_solve
+from stokespressure.spectral_solver import (
+    continue_family,
+    initial_guess,
+    newton_solve,
+)
 from stokespressure.verifier import CheckResult, VerificationReport, verify_all
-from stokespressure.wave_model import InvalidConfig, WaveConfig, steepness
+from stokespressure.wave_model import (
+    ConformalSolution,
+    InvalidConfig,
+    WaveConfig,
+    steepness,
+)
 
 
 def run(*argv):
@@ -89,6 +98,47 @@ def test_solution_round_trip_is_bit_exact(sol_005, tmp_path):
     assert np.array_equal(back.coeffs, sol_005.coeffs)
     save_solution(back, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def member_2048():
+    # a member of a 2,048-mode sweep, with the diagnostics `solve` stores
+    m = continue_family(0.01, 0.03, WaveConfig(mode_count=2048)).last
+    return m.solution, {"iterations": m.newton_iters,
+                        "residual_norm": m.residual_norm,
+                        "tail_ratio": m.tail_ratio}
+
+
+@pytest.mark.parametrize("wave", ["edges", "member_2048"])
+@pytest.mark.parametrize("diagnostics", ["none", "finite", "nan_tail"])
+def test_save_solution_writes_the_bytes_of_dump_json(wave, diagnostics,
+                                                     request, tmp_path):
+    # The coefficients are printed apart from the rest of the document, and
+    # the file must still be `_dump_json` of the whole, which is json.dumps
+    # with sorted keys and indent 1; a NaN tail ratio prints as null.
+    if wave == "edges":
+        sol = ConformalSolution(c=1.0, E=0.5, coeffs=[
+            -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.0, 0.1])
+        diag = {"iterations": 3, "residual_norm": 2.5e-13, "tail_ratio": 0.0}
+    else:
+        sol, diag = request.getfixturevalue(wave)
+    diag = {"none": None, "finite": diag,
+            "nan_tail": dict(diag, tail_ratio=math.nan)}[diagnostics]
+    doc = {"format": "stokespressure.solution/1", "c": sol.c, "E": sol.E,
+           "gravity": sol.gravity, "surface_pressure": sol.surface_pressure,
+           "mode_count": sol.mode_count, "coefficients": sol.coeffs.tolist()}
+    if diag:
+        doc["diagnostics"] = diag
+    path = tmp_path / "s.json"
+    digest = save_solution(sol, path, diagnostics=diag)
+    data = path.read_bytes()
+    assert data == cli_io._dump_json(doc).encode()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert (b'"tail_ratio": null' in data) == (diagnostics == "nan_tail")
+    back = load_solution(path)
+    assert back.coeffs.view(np.uint64).tolist() == \
+        sol.coeffs.view(np.uint64).tolist()
+    assert (back.c, back.E) == (sol.c, sol.E)
 
 
 def test_load_solution_rejects_truncation(sol_005, tmp_path):
@@ -526,7 +576,11 @@ def test_limit_subcommand_small(tmp_path):
 _COLD_START = """
 import json, sys
 from stokespressure import WaveConfig, cli_io
-from stokespressure.spectral_solver import initial_guess, newton_solve
+from stokespressure.spectral_solver import (
+    continue_family,
+    initial_guess,
+    newton_solve,
+)
 
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)

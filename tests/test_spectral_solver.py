@@ -643,6 +643,94 @@ def test_preconditioner_applied_once_per_product(monkeypatch):
     assert set(applies) == {("s", "float32", (130, 130))}
 
 
+def _reference_gmres(sol, r, precond, bases, weights=None):
+    # `_gmres` with its Givens rotations on NumPy scalars, np.linalg.norm
+    # and a fresh series buffer and k = 1..N in every J.v: the reference
+    # that the leaner loop must match bit for bit, as `_broadcast_jacobian`
+    # is the reference for J.v.
+    n = sol.mode_count
+    w_h, w_A, w_B, w_c, w_E = (spectral_solver._weights(sol)
+                               if weights is None else weights)
+
+    def jv(d):
+        dh, dA, dB = spectral_solver._surface_sums(d[:n], n)
+        out = np.empty(n + 2)
+        out[: n + 1] = (w_h * dh + w_A * dA + w_B * dB
+                        + w_c * d[n] + w_E * d[n + 1])
+        out[n + 1] = d[0:n:2].sum() / np.pi
+        return out
+
+    beta = float(np.linalg.norm(r))
+    V, Z = bases
+    m = Z.shape[0]
+    R = np.zeros((m, m))
+    rot = np.zeros((m, 2))
+    g = np.zeros(m + 1)
+    g[0] = beta
+    np.divide(r, -beta, out=V[0])
+    for j in range(m):
+        Z[j] = precond(V[j])
+        w = jv(Z[j])
+        col = R[: j + 1, j]
+        for _ in range(2):
+            hj = V[: j + 1] @ w
+            w -= hj @ V[: j + 1]
+            col += hj
+        h_next = float(np.linalg.norm(w))
+        if not np.isfinite(h_next):
+            return None
+        for i, (ci, si) in enumerate(rot[:j]):
+            col[i], col[i + 1] = (ci * col[i] + si * col[i + 1],
+                                  ci * col[i + 1] - si * col[i])
+        rho = float(np.hypot(col[j], h_next))
+        if rho == 0.0:
+            return None
+        rot[j] = col[j] / rho, h_next / rho
+        col[j] = rho
+        g[j + 1] = -rot[j, 1] * g[j]
+        g[j] *= rot[j, 0]
+        if abs(g[j + 1]) <= spectral_solver._FORCING * beta:
+            y = spectral_solver._back_substitute(R[: j + 1, : j + 1],
+                                                 g[: j + 1])
+            return y @ Z[: j + 1]
+        V[j + 1] = w / h_next
+    return None
+
+
+def test_gmres_matches_its_reference_bit_for_bit(monkeypatch, sol_013):
+    # Every system GMRES meets in three runs is also solved by the
+    # reference: LU-preconditioned at 128 and 256 modes (a walk that
+    # doubles N), Fourier-preconditioned at 2048 modes and, near the limit,
+    # at 1024 modes, where with a holder of factors it misses at 20
+    # iterations and the solve goes on with LU factors.
+    seen = set()
+    real = spectral_solver._gmres
+
+    def checked(sol, r, precond, bases, weights=None):
+        want = _reference_gmres(sol, r, precond,
+                                tuple(np.empty_like(b) for b in bases),
+                                weights)
+        got = real(sol, r, precond, bases, weights)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+        kind = precond.__qualname__.split(".")[0]
+        seen.add((sol.mode_count, kind, bases[1].shape[0], want is None))
+        return got
+
+    monkeypatch.setattr(spectral_solver, "_gmres", checked)
+    continue_family(0.01, 0.2, WaveConfig(mode_count=128), max_modes=256)
+    continue_family(0.01, 0.03, WaveConfig(mode_count=2048))
+    newton_solve(_pad_modes(sol_013, 1024), 0.135, WaveConfig(mode_count=1024),
+                 factors=spectral_solver._Factors())
+    assert {(n, kind) for n, kind, _, _ in seen} == {
+        (128, "_lu_preconditioner"), (256, "_lu_preconditioner"),
+        (1024, "_lu_preconditioner"), (1024, "_fourier_preconditioner"),
+        (2048, "_fourier_preconditioner")}
+    assert (1024, "_fourier_preconditioner", 20, True) in seen
+
+
 def test_back_substitution_matches_lapack_bit_for_bit():
     # GMRES's triangular solve must keep the bits of LAPACK's trtrs, which
     # it replaced: np.linalg.solve agreed on few such systems and moved
@@ -714,6 +802,38 @@ def test_continuation_jacobian_budget(monkeypatch):
                           max_modes=128)
     assert len(jacs) <= 3
     assert sum(m.newton_iters for m in fam.members) > len(jacs)
+
+
+def test_sweep_walk_budget(monkeypatch):
+    # Counts, not timings: the walk of the 2,048-mode `sweep` benchmark,
+    # s = 0.01 to 0.128 in steps of 0.01, stays on the Fourier path. It
+    # builds no Jacobian and takes no more GMRES solves and J.v products
+    # than the 54 and 409 it took when this guard was set.
+    jacs = _count_jacobians(monkeypatch)
+    solves, products = [], []
+    real_operator = spectral_solver._jvp_operator
+    real_gmres = spectral_solver._gmres
+
+    def operator(sol, *weights):
+        jv = real_operator(sol, *weights)
+
+        def counted(d):
+            products.append(sol.mode_count)
+            return jv(d)
+
+        return counted
+
+    def gmres(sol, r, *precond):
+        solves.append(sol.mode_count)
+        return real_gmres(sol, r, *precond)
+
+    monkeypatch.setattr(spectral_solver, "_jvp_operator", operator)
+    monkeypatch.setattr(spectral_solver, "_gmres", gmres)
+    fam = continue_family(0.01, 0.128, WaveConfig(mode_count=2048))
+    assert fam.stop_reason == "reached_stop" and len(fam.members) == 13
+    assert jacs == []
+    assert set(solves) == {2048} and len(solves) <= 54
+    assert len(products) <= 409
 
 
 def _constant_coefficient_model(sol):
