@@ -31,7 +31,7 @@ def main():
 
     q = np.linspace(0.0, math.pi * c, 257)   # crest line to trough line
     p = np.linspace(-2.0 * math.pi * c, 0.0, 129)
-    gf = grid_fields(sol, q, p, CFG)
+    gf = grid_fields(sol, q, p)
 
     interior = np.ones(gf.P_x.shape, dtype=bool)
     interior[:, 0] = interior[:, -1] = False
@@ -47,12 +47,12 @@ def main():
 
     print("\nhow fast the vertical gradient becomes hydrostatic:")
     for depth in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-        row = grid_fields(sol, q, np.array([-depth * c]), CFG)
+        row = grid_fields(sol, q, np.array([-depth * c]))
         dev = np.abs(row.P_y + g).max()
         print(f"    p = {-depth:5.1f} c   max |P_y + g| = {dev:.3e}")
     print("  (one decade of depth buys e^{-10} ~ 4.5e-5 of decay per mode)")
 
-    prof = surface(sol, m=256, cfg=CFG)
+    prof = surface(sol, m=256)
     f_surf = gf.f[-1]
     print(f"\ncomparison function on the free surface:")
     print(f"  f at the crest          {f_surf[0]:+.3e}  (exactly 0)")

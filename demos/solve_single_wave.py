@@ -37,7 +37,7 @@ def main():
     print(f"  {'q':>7} {'p':>7} {'y':>10} {'u':>10} {'v':>10} {'P':>10}")
     for q, p in [(0.0, -0.05), (0.0, -0.5), (0.0, -2.0),
                  (1.2, -0.05), (1.2, -0.5), (1.2, -2.0)]:
-        s = field_sample(sol, StripPoint(q, p), CFG)
+        s = field_sample(sol, StripPoint(q, p))
         print(f"  {q:7.2f} {p:7.2f} {s.y:10.5f} {s.u:10.6f} "
               f"{s.v:10.6f} {s.P:10.6f}")
 

@@ -21,8 +21,10 @@ h_q, hence v and P_x, is exactly 0 on the crest and trough columns.
 
 Near the limiting wave the crest approaches a stagnation point, D blows up
 and pointwise values within a small disc around the crest stop being
-certifiable; such points are excluded rather than reported. Exclusion is
-active only when the crest indicator drops below the configured threshold.
+certifiable; such points are excluded rather than reported. The disc is
+fixed by two module constants: radius `_EXCISION_RADIUS` in (q, p) about
+each crest, active only once the crest indicator falls below `_EXCISION_K`.
+No wave resolved at up to 2048 modes turns it on.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ __all__ = [
 
 _DEFAULT = WaveConfig()
 
+# The excision disc: radius in (q, p) about each crest, and the crest
+# indicator below which it is active.
+_EXCISION_RADIUS = 0.05
+_EXCISION_K = 0.1
+
 
 class StagnationProximity(RuntimeError):
     """Point refused: inside the excision disc of a near-extreme crest."""
@@ -88,12 +95,12 @@ def _wrap_to_crest(q: np.ndarray | float, period: float):
     return q - period * np.round(np.asarray(q, dtype=float) / period)
 
 
-def _exclusion_mask(sol, q, p, cfg):
+def _exclusion_mask(sol, q, p):
     # The disc test comes first: the crest indicator matters only for points
     # inside the disc, so a point set with none there never evaluates it
     # (test_crest_indicator_only_for_points_inside_the_disc pins this).
-    inside = np.hypot(_wrap_to_crest(q, sol.period_q), p) < cfg.excision_radius
-    if inside.any() and crest_indicator(sol) >= cfg.crest_indicator_threshold:
+    inside = np.hypot(_wrap_to_crest(q, sol.period_q), p) < _EXCISION_RADIUS
+    if inside.any() and crest_indicator(sol) >= _EXCISION_K:
         return np.zeros_like(inside)
     return inside
 
@@ -139,11 +146,10 @@ def _at_first(mask, *values) -> list[float]:
     return [float(np.broadcast_to(v, np.shape(mask)).flat[j]) for v in values]
 
 
-def _point_fields(sol: ConformalSolution, pt: StripPoint,
-                  cfg: WaveConfig | None) -> dict:
+def _point_fields(sol: ConformalSolution, pt: StripPoint) -> dict:
     """`_fields` at a strip point, or at every point of an array StripPoint,
     refused if any lies inside an active excision disc."""
-    inside = _exclusion_mask(sol, pt.q, pt.p, cfg or _DEFAULT)
+    inside = _exclusion_mask(sol, pt.q, pt.p)
     if inside.any():
         qi, pi_ = _at_first(inside, pt.q, pt.p)
         raise StagnationProximity(
@@ -156,35 +162,32 @@ def _point_fields(sol: ConformalSolution, pt: StripPoint,
 # of points gives arrays of values, elementwise, in one evaluation. Only
 # `field_sample` takes a single point and raises ValueError for arrays.
 
-def velocity(sol: ConformalSolution, pt: StripPoint,
-             cfg: WaveConfig | None = None) -> tuple[float, float]:
+def velocity(sol: ConformalSolution, pt: StripPoint) -> tuple[float, float]:
     """Velocity (u, v) in the moving frame at a strip point."""
-    fl = _point_fields(sol, pt, cfg)
+    fl = _point_fields(sol, pt)
     return (fl["u"], fl["v"])
 
 
-def velocity_gradients(sol: ConformalSolution, pt: StripPoint,
-                       cfg: WaveConfig | None = None):
+def velocity_gradients(sol: ConformalSolution, pt: StripPoint):
     """Physical velocity gradients (u_x, u_y, v_x, v_y) at a strip point."""
-    fl = _point_fields(sol, pt, cfg)
+    fl = _point_fields(sol, pt)
     return tuple(fl[key] for key in ("u_x", "u_y", "v_x", "v_y"))
 
 
-def pressure(sol: ConformalSolution, pt: StripPoint,
-             cfg: WaveConfig | None = None) -> float:
+def pressure(sol: ConformalSolution, pt: StripPoint) -> float:
     """Fluid pressure at a strip point; equals surface_pressure on p = 0."""
-    return _point_fields(sol, pt, cfg)["P"]
+    return _point_fields(sol, pt)["P"]
 
 
-def pressure_gradient(sol: ConformalSolution, pt: StripPoint,
-                      cfg: WaveConfig | None = None) -> tuple[float, float]:
+def pressure_gradient(sol: ConformalSolution,
+                      pt: StripPoint) -> tuple[float, float]:
     """Pressure gradient (P_x, P_y) at a strip point.
 
     Momentum-balance route, with the u_q / D shortcut for P_x evaluated as
     a consistency guard; the two are algebraically identical and must agree
     to rounding. ArithmeticError names the first point where they do not.
     """
-    fl = _point_fields(sol, pt, cfg)
+    fl = _point_fields(sol, pt)
     p_x, p_alt = fl["P_x"], fl["P_x_alt"]
     bad = np.abs(p_x - p_alt) > 1e-9 * (np.abs(p_x) + sol.gravity)
     if bad.any():
@@ -195,18 +198,16 @@ def pressure_gradient(sol: ConformalSolution, pt: StripPoint,
     return (p_x, fl["P_y"])
 
 
-def f_field(sol: ConformalSolution, pt: StripPoint,
-            cfg: WaveConfig | None = None) -> float:
+def f_field(sol: ConformalSolution, pt: StripPoint) -> float:
     """Comparison function f = (c - u) v - g x.
 
     Harmonic in the physical variables; vanishes on the crest line and
     equals -g*pi on the trough line.
     """
-    return _point_fields(sol, pt, cfg)["f"]
+    return _point_fields(sol, pt)["f"]
 
 
-def field_sample(sol: ConformalSolution, pt: StripPoint,
-                 cfg: WaveConfig | None = None) -> np.record:
+def field_sample(sol: ConformalSolution, pt: StripPoint) -> np.record:
     """Every exported quantity at one point, as one `physical_grid` record
     (fields q, p, x, y, u, v, P, f, P_x, P_y, excluded).
 
@@ -219,11 +220,10 @@ def field_sample(sol: ConformalSolution, pt: StripPoint,
                          "physical_grid for records of many")
     q, p = np.array([pt.q]), np.array([pt.p])
     jet = eval_conformal_jet(sol, StripPoint(q[None, :], p[:, None]))
-    return _records(_field_grid(sol, jet, q, p, cfg or _DEFAULT))[0]
+    return _records(_field_grid(sol, jet, q, p))[0]
 
 
-def surface(sol: ConformalSolution, m: int = 256,
-            cfg: WaveConfig | None = None) -> SurfaceProfile:
+def surface(sol: ConformalSolution, m: int = 256) -> SurfaceProfile:
     """Sample the free surface at m+1 equal strip angles over a half period.
 
     theta = q / c runs from 0 (crest) to pi (trough); x then runs over
@@ -233,14 +233,13 @@ def surface(sol: ConformalSolution, m: int = 256,
     of excluded samples are reported from the nearest included sample (the
     surface position and curvature stay finite and are always reported).
     """
-    cfg = cfg or _DEFAULT
     if m < 16:
         raise ValueError("need at least 16 surface samples")
     q = np.linspace(0.0, np.pi * sol.c, m + 1)
     jets = eval_jet_grid(sol, q, np.array([0.0]))
     h_q, h_p, h_qq, h_qp = jets.h_q[0], jets.h_p[0], jets.h_qq[0], jets.h_qp[0]
     slope = h_q / h_p
-    excl = _exclusion_mask(sol, q, np.zeros_like(q), cfg)
+    excl = _exclusion_mask(sol, q, np.zeros_like(q))
     if excl.any() and not excl.all():
         inc = np.flatnonzero(~excl)
         for i in np.flatnonzero(excl):
@@ -284,18 +283,18 @@ class FieldGrid:
     excluded: np.ndarray
 
 
-def _field_grid(sol, jet, q, p, cfg: WaveConfig) -> FieldGrid:
+def _field_grid(sol, jet, q, p) -> FieldGrid:
     """The `FieldGrid` of a jet on the tensor grid q x p."""
-    excluded = _exclusion_mask(sol, q[None, :], p[:, None], cfg)
+    excluded = _exclusion_mask(sol, q[None, :], p[:, None])
     return FieldGrid(q=q, p=p, h_q=jet.h_q, h_p=jet.h_p, excluded=excluded,
                      **_fields(jet, sol))
 
 
-def grid_fields(sol: ConformalSolution, q: np.ndarray, p: np.ndarray,
-                cfg: WaveConfig | None = None) -> FieldGrid:
+def grid_fields(sol: ConformalSolution, q: np.ndarray,
+                p: np.ndarray) -> FieldGrid:
     """Evaluate all fields on the tensor grid q x p (vectorized fast path)."""
     q, p = np.asarray(q, float), np.asarray(p, float)
-    return _field_grid(sol, eval_jet_grid(sol, q, p), q, p, cfg or _DEFAULT)
+    return _field_grid(sol, eval_jet_grid(sol, q, p), q, p)
 
 
 def _records(gf: FieldGrid) -> np.recarray:
@@ -321,7 +320,7 @@ def _strip_grid(sol: ConformalSolution, cfg: WaveConfig) -> FieldGrid:
         raise InvalidConfig("field grid needs at least 2 samples per axis")
     q = np.linspace(0.0, np.pi * sol.c, cfg.grid_nq)
     p = np.linspace(cfg.resolved_depth(sol.c), 0.0, cfg.grid_np)
-    return grid_fields(sol, q, p, cfg)
+    return grid_fields(sol, q, p)
 
 
 def physical_grid(sol: ConformalSolution,

@@ -56,11 +56,13 @@ class WaveConfig:
     """Physical constants, resolution and tolerance knobs.
 
     The wavelength is fixed at 2*pi; gravity and the ambient surface pressure
-    are configurable. ``grid_depth`` is the strip floor p_min used by field
-    grids; ``None`` resolves to one conformal wavelength of depth, -2*pi*c,
-    at evaluation time (deeper rows are uniform flow to ~1e-11). Counts
-    (``mode_count``, ``newton_max_iter``, ``grid_nq``, ``grid_np``) must be
-    integers, every value must be finite, and no field takes a bool.
+    are configurable. The near-crest excision disc is not: its radius and
+    threshold are fixed constants of `hodograph_fields`. ``grid_depth`` is
+    the strip floor p_min used by field grids; ``None`` resolves to one
+    conformal wavelength of depth, -2*pi*c, at evaluation time (deeper rows
+    are uniform flow to ~1e-11). Counts (``mode_count``, ``newton_max_iter``,
+    ``grid_nq``, ``grid_np``) must be integers, every value must be finite,
+    and no field takes a bool.
     """
 
     gravity: float = 1.0
@@ -71,8 +73,6 @@ class WaveConfig:
     grid_nq: int = 256
     grid_np: int = 128
     grid_depth: float | None = None
-    excision_radius: float = 0.05
-    crest_indicator_threshold: float = 0.1
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -96,10 +96,6 @@ class WaveConfig:
             raise InvalidConfig("grid dimensions must be positive")
         if self.grid_depth is not None and not (self.grid_depth < 0.0):
             raise InvalidConfig("grid_depth must be negative (p_min < 0)")
-        if self.excision_radius < 0.0:
-            raise InvalidConfig("excision_radius must be nonnegative")
-        if not (0.0 < self.crest_indicator_threshold < 1.0):
-            raise InvalidConfig("crest_indicator_threshold must lie in (0, 1)")
 
     def resolved_depth(self, c: float) -> float:
         """Grid floor p_min for a wave of speed c."""

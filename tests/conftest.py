@@ -6,6 +6,7 @@ import pytest
 from stokespressure import (
     WaveConfig,
     continue_family,
+    hodograph_fields,
     initial_guess,
     newton_solve,
 )
@@ -89,3 +90,17 @@ def no_trig(monkeypatch):
             yield
 
     return patched
+
+
+@pytest.fixture()
+def excision(monkeypatch):
+    """Sets the excision disc's constants for one test: ``excision(k)``
+    makes the disc active on waves whose crest indicator is below k, and
+    ``excision(k, radius)`` also resizes it. No resolvable wave turns the
+    fixed disc on, so the tests of its behaviour raise k."""
+    def set_disc(k, radius=None):
+        monkeypatch.setattr(hodograph_fields, "_EXCISION_K", k)
+        if radius is not None:
+            monkeypatch.setattr(hodograph_fields, "_EXCISION_RADIUS", radius)
+
+    return set_disc

@@ -65,10 +65,9 @@ def suite_grids(suite_solutions):
     t0 = time.perf_counter()
     grids = {}
     for s, sol in suite_solutions.items():
-        cfg = WaveConfig(mode_count=sol.mode_count)
         q = np.linspace(0.0, math.pi * sol.c, 256)
         p = np.linspace(-2.0 * math.pi * sol.c, 0.0, 128)
-        grids[s] = grid_fields(sol, q, p, cfg)
+        grids[s] = grid_fields(sol, q, p)
     _BUDGETS["grids"] = time.perf_counter() - t0
     return grids
 
@@ -98,7 +97,7 @@ def test_criterion_01_hydrostatic_exactness(rng):
     for _ in range(1000):
         pt = StripPoint(float(rng.uniform(-10, 10)),
                         float(rng.uniform(-6, 0)))
-        s = field_sample(flat, pt, cfg)
+        s = field_sample(flat, pt)
         worst_p = max(worst_p, abs(s.P - (P0 - g * s.y)))
         worst_uv = max(worst_uv, abs(s.u), abs(s.v))
     elapsed = time.perf_counter() - t0
@@ -183,11 +182,10 @@ def test_criterion_05_far_field_hydrostatic_at_stated_depth(suite_solutions):
     details = []
     worst_overall = 0.0
     for s, sol in sorted(suite_solutions.items()):
-        cfg = WaveConfig(mode_count=sol.mode_count)
         g = sol.gravity
         q = np.linspace(0.0, math.pi * sol.c, 256)
-        ten = grid_fields(sol, q, np.array([-10.0 * sol.c]), cfg)
-        twenty = grid_fields(sol, q, np.array([-20.0 * sol.c]), cfg)
+        ten = grid_fields(sol, q, np.array([-10.0 * sol.c]))
+        twenty = grid_fields(sol, q, np.array([-20.0 * sol.c]))
         m10 = float(np.abs(ten.P_y + g).max())
         m20 = float(np.abs(twenty.P_y + g).max())
         worst_overall = max(worst_overall, m10)
@@ -235,7 +233,7 @@ def test_criterion_06_surface_and_velocity_structure(suite_grids,
         ok &= float((gf.u - c).max()) < 0.0
 
         # surface slope and convexity structure
-        prof = surface(sol, m=256, cfg=WaveConfig(mode_count=sol.mode_count))
+        prof = surface(sol, m=256)
         slope_sq = float((prof.slope ** 2).max())
         ok &= slope_sq < 1.0
         x, eta_xx = prof.x, prof.eta_xx
@@ -258,13 +256,12 @@ def test_criterion_06_surface_and_velocity_structure(suite_grids,
 
 def test_criterion_07_identity_suite(suite_solutions, rng):
     sol = suite_solutions[0.10]
-    cfg = WaveConfig(mode_count=sol.mode_count)
     g, c = sol.gravity, sol.c
 
     # dual horizontal pressure-gradient routes on a deterministic grid
     q = np.linspace(0.07, 0.93, 24) * math.pi * c
     p = np.linspace(-2.4, -0.12, 8)
-    gf = grid_fields(sol, q, p, cfg)
+    gf = grid_fields(sol, q, p)
     dual = float((np.abs(gf.P_x - gf.P_x_alt)
                   / (np.abs(gf.P_x) + g)).max())
 
@@ -273,12 +270,11 @@ def test_criterion_07_identity_suite(suite_solutions, rng):
     for _ in range(16):
         q0 = float(rng.uniform(0.1, 0.9)) * math.pi * c
         p0 = float(rng.uniform(-2.0, -0.2))
-        lift = oracles.physical_lift(
-            sol, lambda s_, pt: pressure(s_, pt, cfg), q0, p0)
+        lift = oracles.physical_lift(sol, pressure, q0, p0)
         jet = eval_conformal_jet(sol, StripPoint(q0, p0))
         lap = oracles.fd_laplacian(lift, np.array([jet.x, jet.h]), step=1e-3)
         worst_sup = max(worst_sup,
-                        abs(lap + 2.0 * _speed_grad_sq(sol, q0, p0, cfg)))
+                        abs(lap + 2.0 * _speed_grad_sq(sol, q0, p0)))
 
     # analytic gradient vs finite differences at 100 random points
     worst_fd = 0.0
@@ -286,9 +282,8 @@ def test_criterion_07_identity_suite(suite_solutions, rng):
         q0 = float(rng.uniform(0.08, 0.92)) * math.pi * c
         p0 = float(rng.uniform(-2.5, -0.15))
         jet = eval_conformal_jet(sol, StripPoint(q0, p0))
-        px, py = pressure_gradient(sol, StripPoint(q0, p0), cfg)
-        lift = oracles.physical_lift(
-            sol, lambda s_, pt: pressure(s_, pt, cfg), q0, p0)
+        px, py = pressure_gradient(sol, StripPoint(q0, p0))
+        lift = oracles.physical_lift(sol, pressure, q0, p0)
         fx = oracles.fd_derivative(lift, np.array([jet.x, jet.h]),
                                    direction=np.array([1.0, 0.0]),
                                    step=3e-4, richardson=True)
@@ -306,9 +301,9 @@ def test_criterion_07_identity_suite(suite_solutions, rng):
                f"(tol 1e-5 rel)")
 
 
-def _speed_grad_sq(sol, q0, p0, cfg):
+def _speed_grad_sq(sol, q0, p0):
     from stokespressure.hodograph_fields import velocity_gradients
-    u_x, u_y, _, _ = velocity_gradients(sol, StripPoint(q0, p0), cfg)
+    u_x, u_y, _, _ = velocity_gradients(sol, StripPoint(q0, p0))
     return u_x ** 2 + u_y ** 2
 
 

@@ -80,7 +80,7 @@ def test_load_config_rejects_bad_values(tmp_path):
     # JSON has no infinities or NaN, but Python's parser takes these tokens
     for text in ['{"gravity": -9.8}', '{"newton_tol": Infinity}',
                  '{"surface_pressure": NaN}', '{"surface_pressure": -Infinity}',
-                 '{"excision_radius": Infinity}', '{"grid_depth": -Infinity}']:
+                 '{"gravity": Infinity}', '{"grid_depth": -Infinity}']:
         path.write_text(text)
         with pytest.raises(CliInputError):
             load_config(path)
@@ -188,6 +188,21 @@ def test_load_solution_rejects_garbage(edit, sol_005, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, why", [
+    (None, "cannot read report"),
+    ("{not json", "cannot read report"),
+    ('{"format": "stokespressure.report/1", "steepness": 0.05}',
+     "malformed report file"),
+    ("[1, 2]", "malformed report file"),
+], ids=["missing", "not-json", "missing-keys", "not-an-object"])
+def test_load_report_refuses_bad_files(tmp_path, text, why):
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(CliInputError, match=why):
+        load_report(path)
+
+
 def test_fields_csv_header_and_shape(sol_005, tmp_path):
     cfg = WaveConfig(mode_count=64, grid_nq=5, grid_np=3, grid_depth=-2.0)
     path = tmp_path / "f.csv"
@@ -205,7 +220,7 @@ def test_fields_export_bytes_follow_grid_arrays(sol_005, tmp_path):
     # records keyed by the 11 column names in the JSON export.
     q = np.linspace(0.0, np.pi * sol_005.c, 5)
     p = np.linspace(-2.0, 0.0, 3)
-    gf = grid_fields(sol_005, q, p, WaveConfig(mode_count=64))
+    gf = grid_fields(sol_005, q, p)
     floats = ("x", "y", "u", "v", "P", "f", "P_x", "P_y")
     records = [{"q": float(q[j]), "p": float(p[i]),
                 **{name: float(getattr(gf, name)[i, j]) for name in floats},
@@ -635,7 +650,7 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
                                  {"gravity": True},
                                  {"newton_tol": math.inf},
                                  {"surface_pressure": math.nan},
-                                 {"excision_radius": math.inf}])
+                                 {"grid_depth": -math.inf}])
 def test_exit_2_on_bad_config_value(tmp_path, doc):
     # A fractional count, a bool where a number belongs or a non-finite
     # value is refused before any solve: no traceback, no "no convergence in
@@ -645,6 +660,20 @@ def test_exit_2_on_bad_config_value(tmp_path, doc):
     out = tmp_path / "out"
     assert run("solve", "--steepness", 0.01, "--config", cfg,
                "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["excision_radius",
+                                 "crest_indicator_threshold"])
+def test_exit_2_on_removed_config_key(tmp_path, capsys, key):
+    # The excision disc's radius and threshold are constants, not settings:
+    # a config that still names either is refused like any unknown key.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: 0.1}))
+    out = tmp_path / "out"
+    assert run("solve", "--steepness", 0.01, "--config", cfg,
+               "--out", out) == 2
+    assert f"unknown config keys in {cfg}: {key}" in capsys.readouterr().err
     assert not out.exists()
 
 

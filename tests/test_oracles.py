@@ -134,12 +134,10 @@ def test_physical_lift_of_an_array_of_points(sol_005):
         np.testing.assert_allclose(back.h, xy[1], rtol=0, atol=1e-12)
 
 def test_physical_lift_round_trips_the_map(sol_005):
-    cfg = WaveConfig(mode_count=64)
     q0, p0 = 0.9, -0.7
     jet = eval_conformal_jet(sol_005, StripPoint(q0, p0))
-    lifted = oracles.physical_lift(
-        sol_005, lambda s, pt: pressure(s, pt, cfg), q0, p0)
-    direct = pressure(sol_005, StripPoint(q0, p0), cfg)
+    lifted = oracles.physical_lift(sol_005, pressure, q0, p0)
+    direct = pressure(sol_005, StripPoint(q0, p0))
     assert lifted(np.array([jet.x, jet.h])) == pytest.approx(direct, rel=1e-12)
     # a nearby physical point must evaluate too (warm-started inversion)
     nearby = lifted(np.array([jet.x + 1e-3, jet.h - 1e-3]))
@@ -356,3 +354,31 @@ def test_limit_bracket_probes_below_the_walk():
     assert oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=256,
                                  lo=0.005, max_probes=2) == (
         0.005, 0.13845703125)
+
+
+def test_limit_bracket_descends_from_a_refuted_lo():
+    # At a 64-mode cap s = 0.12 is refuted, so it becomes hi and lo steps
+    # down by 0.015 to a reached 0.105; bisection then halves that window.
+    assert oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=64,
+                                 lo=0.12) == (0.105, 0.106875)
+
+
+def test_limit_bracket_raises_when_nothing_is_reached(monkeypatch):
+    # A tail bound of 0 refutes every probe: lo steps down by 0.015 until
+    # the walk's first member, s = 0.01, is refuted too.
+    monkeypatch.setattr(oracles, "TAIL_DECAY_RATIO", 0.0)
+    with pytest.raises(RuntimeError,
+                       match=r"not even s = 0\.01 was reached"):
+        oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=64,
+                              lo=0.05)
+
+
+def test_limit_bracket_raises_when_the_walks_last_member_is_reached(
+        monkeypatch):
+    # A tail bound that every coefficient meets reaches every probe, the
+    # walk's last member among them: no probe is refuted, so no hi exists.
+    monkeypatch.setattr(oracles, "TAIL_DECAY_RATIO", 2.0)
+    with pytest.raises(RuntimeError,
+                       match=r"the walk's last member s = .* was reached"):
+        oracles.limit_bracket(WaveConfig(mode_count=64), est_mode_cap=64,
+                              lo=0.1)

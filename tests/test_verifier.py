@@ -80,12 +80,11 @@ def test_verify_all_inverts_positions_in_array_calls(sol_005, monkeypatch):
     assert max(calls) == 100
 
 
-def test_empty_sampling_sets_fail(sol_005, tmp_path):
+def test_empty_sampling_sets_fail(sol_005, tmp_path, excision):
     # an excision disc that swallows every grid and witness point leaves
     # these checks nothing to certify; none of them may pass vacuously
-    cfg = WaveConfig(mode_count=64, excision_radius=100.0,
-                     crest_indicator_threshold=0.99)
-    report = verify_all(sol_005, cfg)
+    excision(0.99, radius=100.0)
+    report = verify_all(sol_005, WaveConfig(mode_count=64))
     empty = [c for c in report.checks if c.samples_checked == 0]
     assert {c.name for c in empty} >= {
         "pressure_x_crest_line", "pressure_x_trough_line",
@@ -109,11 +108,11 @@ def test_empty_sampling_sets_fail(sol_005, tmp_path):
         assert math.isnan(back.check(c.name).worst_margin), c.name
 
 
-def test_velocity_lines_skip_excluded_points(sol_005):
+def test_velocity_lines_skip_excluded_points(sol_005, excision):
     # the crest and trough line samples obey the exclusion mask like every
     # other sample: with all of them excluded nothing is left to check
-    cfg = WaveConfig(mode_count=64, excision_radius=100.0,
-                     crest_indicator_threshold=0.99)
+    excision(0.99, radius=100.0)
+    cfg = WaveConfig(mode_count=64)
     check = verify_all(sol_005, cfg).check("velocity_v_positive")
     assert check.samples_checked == 0
     assert check.samples_excluded == cfg.grid_nq * cfg.grid_np
@@ -122,11 +121,11 @@ def test_velocity_lines_skip_excluded_points(sol_005):
     assert check.note == "empty sampling set"
 
 
-def test_counts_cover_each_sampling_set_on_an_active_disc(sol_005):
+def test_counts_cover_each_sampling_set_on_an_active_disc(sol_005, excision):
     # every sample of a check's own set is either checked or excluded, once
     nq, np_ = 64, 32
-    cfg = WaveConfig(mode_count=64, grid_nq=nq, grid_np=np_,
-                     excision_radius=0.6, crest_indicator_threshold=0.99)
+    excision(0.99, radius=0.6)
+    cfg = WaveConfig(mode_count=64, grid_nq=nq, grid_np=np_)
     report = verify_all(sol_005, cfg)
     sizes = {
         "hodograph_consistency": nq * np_, "pressure_gradient_dual": nq * np_,
@@ -198,6 +197,21 @@ def test_report_round_trip(report_005):
     assert back.to_dict() == doc
     assert back.passed == report_005.passed
     assert [c.name for c in back.checks] == [c.name for c in report_005.checks]
+
+
+def test_far_field_decay_reports_its_worst_sample():
+    # At p = -10c these coefficients give h_p - 1/c = eps (cos q - cos 2q):
+    # 0 on the crest line and largest, 2 eps, on the trough line, where
+    # |h_q| = eps |sin q - sin 2q| stays below 1.8 eps.
+    eps = 1e-10
+    sol = ConformalSolution(c=1.0, E=0.5, coeffs=[eps * math.exp(10.0),
+                                                  -eps * math.exp(20.0) / 2])
+    check = verify_all(sol, WaveConfig(grid_nq=33, grid_np=8)).check(
+        "far_field_decay")
+    assert check.worst_location == (math.pi, -10.0)
+    assert check.worst_margin == pytest.approx(2 * eps, rel=1e-6)
+    assert check.samples_checked == 2 * 33
+    assert check.passed
 
 
 def test_check_result_round_trip():

@@ -71,9 +71,9 @@ def test_config_explicit_depth_wins():
     {"grid_nq": 0},
     {"grid_np": 0},
     {"grid_depth": 0.5},
-    {"excision_radius": -0.1},
-    {"crest_indicator_threshold": -0.2},
-    {"crest_indicator_threshold": 1.5},
+    {"grid_depth": 0.0},
+    {"grid_depth": -0.0},
+    {"newton_tol": -1e-12},
     # counts must be integers, and no numeric field takes a bool
     {"mode_count": 64.5},
     {"mode_count": 64.0},
@@ -83,19 +83,27 @@ def test_config_explicit_depth_wins():
     {"gravity": True},
     {"newton_max_iter": True},
     {"surface_pressure": False},
-    {"excision_radius": np.False_},
+    {"grid_depth": np.False_},
     # every value must be finite
     {"gravity": math.inf},
     {"surface_pressure": math.nan},
     {"surface_pressure": -math.inf},
     {"newton_tol": math.inf},
     {"grid_depth": -math.inf},
-    {"excision_radius": math.inf},
-    {"crest_indicator_threshold": math.nan},
+    {"gravity": math.nan},
+    {"grid_depth": math.nan},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidConfig):
         WaveConfig(**kwargs)
+
+
+def test_config_has_eight_settings():
+    # A setting with one value in use is a constant, not a field: the
+    # excision disc's radius and threshold are constants of hodograph_fields.
+    assert [f.name for f in dataclasses.fields(WaveConfig)] == [
+        "gravity", "surface_pressure", "mode_count", "newton_tol",
+        "newton_max_iter", "grid_nq", "grid_np", "grid_depth"]
 
 
 def test_config_is_frozen():
